@@ -130,9 +130,6 @@ struct CurveStoreStats
     std::uint64_t replay_stores = 0;
 };
 
-/// Historical name (the store grew out of the in-process CurveCache).
-using CurveCacheStats = CurveStoreStats;
-
 /** What a CurveStore::fsck() pass found (and, when asked, removed). */
 struct CurveStoreFsck
 {
@@ -421,8 +418,5 @@ class CurveStore
     bool warned_disk_error_ = false;
     bool warned_disk_disabled_ = false;
 };
-
-/// Historical name (see CurveStoreStats).
-using CurveCache = CurveStore;
 
 } // namespace kb

@@ -1,6 +1,6 @@
 #include "mem/set_assoc.hpp"
 
-#include <limits>
+#include <algorithm>
 
 #include "util/logging.hpp"
 
@@ -23,7 +23,13 @@ SetAssocCache::SetAssocCache(std::uint64_t sets, std::uint64_t ways,
 {
     KB_REQUIRE(sets_ > 0 && ways_ > 0,
                "set-associative memory needs sets > 0 and ways > 0");
-    table_.assign(sets_, std::vector<Way>(ways_));
+    // Divide rather than multiply: sets * ways can wrap in 64 bits.
+    KB_REQUIRE(ways_ <= kMaxSlots / sets_, "set-associative memory of ",
+               sets_, " sets x ", ways_, " ways exceeds ", kMaxSlots,
+               " slots");
+    table_.resize(sets_ * ways_);
+    filled_.assign(sets_, 0);
+    index_.reserve(sets_ * ways_);
 }
 
 std::string
@@ -33,33 +39,18 @@ SetAssocCache::name() const
            replacementPolicyName(policy_);
 }
 
-std::vector<SetAssocCache::Way> &
-SetAssocCache::setFor(std::uint64_t addr)
+std::uint64_t
+SetAssocCache::victimIn(std::uint64_t row)
 {
-    return table_[addr % sets_];
-}
-
-std::size_t
-SetAssocCache::victimIn(std::vector<Way> &set)
-{
-    // Invalid way first.
-    for (std::size_t i = 0; i < set.size(); ++i) {
-        if (!set[i].valid)
-            return i;
-    }
     if (policy_ == ReplacementPolicy::Random)
-        return static_cast<std::size_t>(rng_.below(set.size()));
-    // LRU and FIFO both evict the minimum stamp; they differ in when
-    // the stamp is refreshed (every use vs fill only).
-    std::size_t victim = 0;
-    std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
-    for (std::size_t i = 0; i < set.size(); ++i) {
-        if (set[i].stamp < best) {
-            best = set[i].stamp;
-            victim = i;
-        }
-    }
-    return victim;
+        return rng_.below(ways_);
+    // LRU and FIFO both evict the first minimum stamp; they differ in
+    // when the stamp is refreshed (every use vs fill only).
+    const auto first = table_.begin() + static_cast<std::ptrdiff_t>(row);
+    const auto oldest = std::min_element(
+        first, first + static_cast<std::ptrdiff_t>(ways_),
+        [](const Way &a, const Way &b) { return a.stamp < b.stamp; });
+    return static_cast<std::uint64_t>(oldest - first);
 }
 
 bool
@@ -67,40 +58,46 @@ SetAssocCache::access(std::uint64_t addr, bool write)
 {
     ++stats_.accesses;
     ++clock_;
-    auto &set = setFor(addr);
-
-    for (auto &way : set) {
-        if (way.valid && way.addr == addr) {
-            ++stats_.hits;
-            way.dirty |= write;
-            if (policy_ == ReplacementPolicy::LRU)
-                way.stamp = clock_;
-            return true;
-        }
+    if (const std::uint32_t *slot = index_.find(addr)) {
+        ++stats_.hits;
+        Way &way = table_[*slot];
+        way.dirty |= write;
+        if (policy_ == ReplacementPolicy::LRU)
+            way.stamp = clock_;
+        return true;
     }
 
     ++stats_.misses;
-    const std::size_t slot = victimIn(set);
-    Way &way = set[slot];
-    if (way.valid) {
+    const std::uint64_t set = addr % sets_;
+    const std::uint64_t row = set * ways_;
+    std::uint64_t slot;
+    if (filled_[set] < ways_) {
+        slot = row + filled_[set]++;
+    } else {
+        slot = row + victimIn(row);
+        const Way &victim = table_[slot];
         ++stats_.evictions;
-        if (way.dirty)
+        if (victim.dirty)
             ++stats_.writebacks;
+        index_.erase(victim.addr);
     }
-    way = Way{addr, true, write, clock_};
+    table_[slot] = Way{addr, clock_, write};
+    index_.insert(addr, static_cast<std::uint32_t>(slot));
     return false;
 }
 
 void
 SetAssocCache::flush()
 {
-    for (auto &set : table_) {
-        for (auto &way : set) {
-            if (way.valid && way.dirty)
+    for (std::uint64_t set = 0; set < sets_; ++set) {
+        const Way *row = table_.data() + set * ways_;
+        for (std::uint32_t i = 0; i < filled_[set]; ++i) {
+            if (row[i].dirty)
                 ++stats_.writebacks;
-            way = Way{};
         }
     }
+    std::fill(filled_.begin(), filled_.end(), 0);
+    index_.clear();
 }
 
 } // namespace kb

@@ -500,7 +500,7 @@ class ReuseDistanceAnalyzer;
  * beyond max_ways saturate at the lumped bucket). Each set keeps its
  * top max_ways words in a stamp row: the per-set stack distance of a
  * resident word is the number of larger stamps in its row — no list
- * maintenance, just the scan a SetAssocCache pays anyway.
+ * maintenance, just one scan of a max_ways-wide row.
  */
 class MultiSetReuseAnalyzer : public TraceSink
 {

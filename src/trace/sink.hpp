@@ -158,23 +158,6 @@ class CallbackSink : public TraceSink
     RunCallback run_cb_;
 };
 
-/** Duplicates the stream into several downstream sinks. */
-class TeeSink : public TraceSink
-{
-  public:
-    explicit TeeSink(std::vector<TraceSink *> sinks);
-
-    void onAccess(const Access &access) override;
-
-    /** Runs are forwarded as runs, so each branch keeps its own
-     *  fast path (a counting branch stays O(1) per run). */
-    void onRun(std::uint64_t base, std::uint64_t words,
-               AccessType type) override;
-
-  private:
-    std::vector<TraceSink *> sinks_;
-};
-
 /** Discards everything (placeholder when only explicit I/O counts
  *  matter); runs are discarded in O(1). */
 class NullSink : public TraceSink

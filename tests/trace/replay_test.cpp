@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "mem/lru_cache.hpp"
+#include "trace/pipeline.hpp"
 #include "trace/replay.hpp"
 #include "trace/sink.hpp"
 
@@ -66,12 +67,15 @@ TEST(Sinks, CountingSinkCountsRunsInBulk)
     EXPECT_EQ(sink.writes(), 1u << 10);
 }
 
-TEST(Sinks, TeeForwardsRunsToBranches)
+TEST(Sinks, PipelineForwardsRunsToConsumers)
 {
     CountingSink counter;
     VectorSink recorder;
-    TeeSink tee({&counter, &recorder});
-    tee.onRun(10, 3, AccessType::Write);
+    AnalysisPipeline pipeline;
+    pipeline.attach(counter);
+    pipeline.attach(recorder);
+    pipeline.onRun(10, 3, AccessType::Write);
+    pipeline.flush();
     EXPECT_EQ(counter.writes(), 3u);
     ASSERT_EQ(recorder.trace().size(), 3u);
     EXPECT_EQ(recorder.trace()[0], writeOf(10));

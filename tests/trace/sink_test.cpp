@@ -101,17 +101,6 @@ TEST(CallbackSink, WithoutRunCallbackRunsExpandPerWord)
     EXPECT_EQ(seen[2], readOf(9));
 }
 
-TEST(TeeSink, FansOut)
-{
-    CountingSink a, b;
-    TeeSink tee({&a, &b});
-    tee.onAccess(readOf(1));
-    tee.onAccess(writeOf(2));
-    EXPECT_EQ(a.total(), 2u);
-    EXPECT_EQ(b.total(), 2u);
-    EXPECT_EQ(a.writes(), 1u);
-}
-
 TEST(NullSink, Discards)
 {
     NullSink sink;
