@@ -7,7 +7,6 @@
 #include <fstream>
 #include <future>
 #include <limits>
-#include <optional>
 #include <set>
 #include <unordered_map>
 
@@ -173,17 +172,30 @@ namespace {
  * between consecutive requested capacities (band b holds the words
  * resident at capacity C_b but not at C_{b-1}); band k+1 is the
  * unordered overflow beyond C_k. Words only sink between their own
- * accesses, so each band needs just a lazy max-heap on the eviction
- * priority (next use, then address — the victim is the heap top) and
- * the depth information the curve needs is the band an access finds
- * its word in.
+ * accesses, so each band needs just a max-heap on the eviction
+ * priority (the victim is the heap top), and the depth information
+ * the curve needs is the band an access finds its word in.
+ *
+ * Each band 1..k is an indexed 4-ary max-heap holding exactly one
+ * slot per resident word; the word records its slot, so every move
+ * is one in-place sift. The priority key is the next-use position,
+ * or kNeverKey | id for a word never used again. Next uses of
+ * distinct resident words are distinct positions, so keys are
+ * unique. Ordering never-reused words by id rather than address (as
+ * simulateOpt does) changes no count: they outrank every reused word
+ * as victims and no access finds them again.
+ *
+ * Every resident key exceeds the current position except the
+ * accessed word's own, which equals it. So the accessed word's old
+ * slot is a leaf of its band, and every key written there, or into a
+ * band-1 hit, is larger than the key it replaces: those moves sift up.
  */
 class SegmentedOptStack
 {
   public:
     explicit SegmentedOptStack(const std::vector<std::uint64_t> &caps)
-        : caps_(caps), heaps_(caps.size()), live_(caps.size(), 0),
-          hist_(caps.size() + 2, 0), wb_hist_(caps.size() + 2, 0)
+        : caps_(caps), heaps_(caps.size()), hist_(caps.size() + 2, 0),
+          wb_hist_(caps.size() + 2, 0)
     {
     }
 
@@ -210,29 +222,18 @@ class SegmentedOptStack
     }
 
   private:
-    /// (next use, address) — operator< gives a max-heap whose top is
-    /// the eviction victim, matching simulateOpt's tie-break. The
-    /// dense word id rides along so validity checks are one array
-    /// load instead of a hash probe (they run once per heap entry
-    /// per compaction, the hot path of the walk).
-    struct Entry
+    /// One heap slot: the word's priority key and dense id.
+    struct Slot
     {
-        std::uint64_t next;
-        std::uint64_t addr;
+        std::uint64_t key;
         std::uint32_t id;
-
-        friend bool
-        operator<(const Entry &a, const Entry &b)
-        {
-            return a.next != b.next ? a.next < b.next
-                                    : a.addr < b.addr;
-        }
     };
+    using Heap = std::vector<Slot>;
 
     struct Word
     {
-        std::uint64_t next = 0;
         std::uint32_t band = 0; ///< 1..k+1 (k+1 = overflow)
+        std::uint32_t slot = 0; ///< index in band's heap (bands 1..k)
         /// Max band this word was found in since its last write
         /// (kColdWindow until the first write).
         std::uint32_t window = 0;
@@ -240,60 +241,77 @@ class SegmentedOptStack
 
     static constexpr std::uint32_t kColdWindow =
         std::numeric_limits<std::uint32_t>::max();
+    /// Keys at or above this mark words never used again.
+    static constexpr std::uint64_t kNeverKey = 1ull << 63;
 
-    bool
-    valid(std::size_t b, const Entry &e) const
-    {
-        const Word &w = words_[e.id];
-        return w.band == b + 1 && w.next == e.next;
-    }
-
-    /** Drop stale entries; the valid victim of band @p b, or null. */
-    const Entry *
-    peek(std::size_t b)
-    {
-        auto &h = heaps_[b];
-        while (!h.empty() && !valid(b, h.front())) {
-            std::pop_heap(h.begin(), h.end());
-            h.pop_back();
-        }
-        return h.empty() ? nullptr : &h.front();
-    }
-
-    /** Remove the (valid) top of band @p b. */
-    Entry
-    take(std::size_t b)
-    {
-        auto &h = heaps_[b];
-        std::pop_heap(h.begin(), h.end());
-        const Entry e = h.back();
-        h.pop_back();
-        return e;
-    }
-
-    /** Place the entry's word into band b+1. */
+    /** Put @p s at @p pos of @p h after moving every smaller
+     *  ancestor down one level; records each moved slot. */
     void
-    land(std::size_t b, const Entry &e)
+    siftUp(Heap &h, std::size_t pos, Slot s)
     {
-        words_[e.id].band = static_cast<std::uint32_t>(b + 1);
-        auto &h = heaps_[b];
-        h.push_back(e);
-        std::push_heap(h.begin(), h.end());
-        ++live_[b];
-        // Lazy deletion accumulates stale entries; compact when they
-        // dominate so heap memory stays O(live set).
-        if (h.size() > 256 && h.size() > 4 * live_[b]) {
-            std::erase_if(h,
-                          [&](const Entry &e2) { return !valid(b, e2); });
-            std::make_heap(h.begin(), h.end());
+        while (pos > 0) {
+            const std::size_t parent = (pos - 1) / 4;
+            if (!(h[parent].key < s.key))
+                break;
+            h[pos] = h[parent];
+            words_[h[pos].id].slot = static_cast<std::uint32_t>(pos);
+            pos = parent;
         }
+        h[pos] = s;
+        words_[s.id].slot = static_cast<std::uint32_t>(pos);
+    }
+
+    /** Put @p s at @p pos of @p h after moving every larger
+     *  descendant on its path up one level; records each moved
+     *  slot. */
+    void
+    siftDown(Heap &h, std::size_t pos, Slot s)
+    {
+        const std::size_t n = h.size();
+        for (;;) {
+            const std::size_t first = 4 * pos + 1;
+            if (first >= n)
+                break;
+            const std::size_t last = std::min(first + 4, n);
+            std::size_t best = first;
+            for (std::size_t c = first + 1; c < last; ++c)
+                if (h[best].key < h[c].key)
+                    best = c;
+            if (!(s.key < h[best].key))
+                break;
+            h[pos] = h[best];
+            words_[h[pos].id].slot = static_cast<std::uint32_t>(pos);
+            pos = best;
+        }
+        h[pos] = s;
+        words_[s.id].slot = static_cast<std::uint32_t>(pos);
+    }
+
+    /** Add @p s to band b+1. */
+    void
+    push(std::size_t b, Slot s)
+    {
+        words_[s.id].band = static_cast<std::uint32_t>(b + 1);
+        Heap &h = heaps_[b];
+        h.push_back(s);
+        siftUp(h, h.size() - 1, s);
+    }
+
+    /** Swap @p s in for band b+1's top and return the old top. */
+    Slot
+    replaceTop(std::size_t b, Slot s)
+    {
+        words_[s.id].band = static_cast<std::uint32_t>(b + 1);
+        Heap &h = heaps_[b];
+        const Slot top = h.front();
+        siftDown(h, 0, s);
+        return top;
     }
 
     const std::vector<std::uint64_t> caps_;
-    std::vector<std::vector<Entry>> heaps_;
-    std::vector<std::uint64_t> live_;
-    FlatWordMap<std::uint32_t> ids_; ///< addr -> dense word id
-    std::vector<Word> words_;        ///< dense word states
+    std::vector<Heap> heaps_;            ///< index = band - 1
+    FlatWordMap<std::uint32_t> ids_;     ///< addr -> dense word id
+    std::vector<Word> words_;            ///< dense word states
     std::vector<std::uint64_t> hist_;    ///< index = band found (1..k+1)
     std::vector<std::uint64_t> wb_hist_; ///< index = window band
     std::uint64_t cold_ = 0;
@@ -333,65 +351,57 @@ SegmentedOptStack::access(const Access &a, std::uint64_t next_use)
     } else if (inserted) {
         w->window = kColdWindow;
     }
-    w->next = next_use;
 
-    if (!inserted && j == 1) {
-        // Hit at every capacity: contents unchanged, priority refresh.
-        auto &h = heaps_[0];
-        h.push_back(Entry{next_use, a.addr, id});
-        std::push_heap(h.begin(), h.end());
+    const Slot self{next_use == kNever ? kNeverKey | id : next_use, id};
+    if (j == 1) {
+        // Hit at every capacity: contents unchanged, priority raised.
+        siftUp(heaps_[0], w->slot, self);
         return;
     }
-
-    // Remove the word from its old band (its heap entry goes stale
-    // through the band change below). Overflow has no heap or count.
-    if (!inserted && j <= k)
-        --live_[j - 1];
+    // The word's slot in its old band (meaningful only for j <= k).
+    const std::size_t vacated = w->slot;
 
     // Cascade the per-capacity victims downward through the miss
     // levels q = 1..j-1 (all of them for cold/overflow words). At
-    // each full level the victim of cache_q — the max of the in-
-    // flight carry and band q's top — sinks one band; the last carry
-    // lands in the word's vacated band.
-    std::optional<Entry> carry;
-    std::uint64_t size_above = 0; // residents in bands 1..q-1 - carry
-    bool carry_landed = false;
-    const std::size_t miss_levels = std::min(j - 1, k);
-    for (std::size_t q = 1; q <= miss_levels; ++q) {
-        const std::uint64_t size_q =
-            size_above + live_[q - 1] + (carry ? 1 : 0);
-        if (size_q < caps_[q - 1]) {
-            // Not full: no eviction here or below (a non-full cache
-            // has never evicted, so larger ones are non-full too).
-            if (carry) {
-                land(q - 1, *carry);
-                carry_landed = true;
-            }
-            break;
-        }
-        const Entry *top = live_[q - 1] > 0 ? peek(q - 1) : nullptr;
-        KB_ASSERT(top != nullptr || carry.has_value());
-        if (top != nullptr && (!carry || *carry < *top)) {
-            // Band q's top is the victim; the old carry (if any)
-            // stays resident at this capacity and fills the band.
-            const Entry victim = take(q - 1);
-            --live_[q - 1];
-            if (carry)
-                land(q - 1, *carry);
-            carry = victim;
-        }
-        // else: the carry is still the victim; band q is untouched.
-        size_above += live_[q - 1];
+    // level 1 the victim is band 1's top, and the accessed word takes
+    // its place. At each deeper full level the victim of cache_q —
+    // the max of the in-flight carry and band q's top — sinks one
+    // band. A level that is not full ends the cascade (a non-full
+    // cache has never evicted, so larger ones are non-full too); only
+    // a cold word meets one, since a word found in band j was evicted
+    // from every cache above it.
+    if (heaps_[0].size() < caps_[0]) {
+        KB_ASSERT(j > k);
+        push(0, self);
+        return;
     }
-    if (carry && !carry_landed) {
-        if (j <= k)
-            land(j - 1, *carry);
-        else
-            words_[carry->id].band = static_cast<std::uint32_t>(k + 1);
+    Slot carry = replaceTop(0, self);
+    // Residents of bands 1..q-1 at capacity C_q, less the carry: band
+    // 1 now holds the accessed word, which C_q did not.
+    std::uint64_t size_above = heaps_[0].size() - 1;
+    const std::size_t miss_levels = std::min(j - 1, k);
+    for (std::size_t q = 2; q <= miss_levels; ++q) {
+        const Heap &h = heaps_[q - 1];
+        if (size_above + h.size() + 1 < caps_[q - 1]) {
+            KB_ASSERT(j > k);
+            push(q - 1, carry);
+            return;
+        }
+        // Band q is non-empty here: C_q > C_{q-1} > size_above.
+        if (carry.key < h.front().key)
+            carry = replaceTop(q - 1, carry);
+        // else: the carry is still the victim; band q is untouched.
+        size_above += h.size();
     }
 
-    // Finally the accessed word itself enters the top band.
-    land(0, Entry{next_use, a.addr, id});
+    // The last carry sinks to overflow, or into the accessed word's
+    // vacated leaf.
+    if (j > k) {
+        words_[carry.id].band = static_cast<std::uint32_t>(k + 1);
+    } else {
+        words_[carry.id].band = static_cast<std::uint32_t>(j);
+        siftUp(heaps_[j - 1], vacated, carry);
+    }
 }
 
 } // namespace
@@ -540,7 +550,11 @@ void
 OptNextUseRecorder::loadChunk(std::size_t chunk,
                               std::vector<std::uint64_t> &next_use)
 {
-    next_use.assign(static_cast<std::size_t>(opts_.chunk_positions),
+    // The last chunk (or a trace shorter than one chunk) needs only
+    // the positions left.
+    const std::uint64_t base = chunk * opts_.chunk_positions;
+    next_use.assign(static_cast<std::size_t>(std::min(
+                        opts_.chunk_positions, pos_ - base)),
                     kNever);
     ++chunks_loaded_;
     // Each position was recorded at most once across disk and memory
@@ -633,6 +647,11 @@ class OptChunkCursor : public TraceSink
 
     std::uint64_t position() const { return pos_; }
 
+    /** High-water mark of the bytes the chunk buffers (walk buffer
+     *  plus standby) have allocated, sampled whenever no load is in
+     *  flight. */
+    std::uint64_t peakChunkBytes() const { return peak_chunk_bytes_; }
+
     /** Join any in-flight prefetch (the walk over a full trace ends
      *  with none pending; this covers truncated re-emissions). */
     void
@@ -640,13 +659,28 @@ class OptChunkCursor : public TraceSink
     {
         if (standby_load_.valid())
             standby_load_.wait();
+        noteChunkBytes();
     }
 
   private:
     void
+    noteChunkBytes()
+    {
+        peak_chunk_bytes_ = std::max<std::uint64_t>(
+            peak_chunk_bytes_,
+            (next_use_.capacity() + standby_.capacity()) *
+                sizeof(std::uint64_t));
+    }
+
+    void
     feed(const Access &access)
     {
         if (pos_ == chunk_end_) {
+            // Chunks hold only recorded positions, so a longer
+            // re-emission must stop here.
+            KB_REQUIRE(pos_ < recorder_.pos_,
+                       "second emission did not replay the recorded "
+                       "trace: more than ", recorder_.pos_, " positions");
             const std::uint64_t cp = recorder_.opts_.chunk_positions;
             const std::uint64_t chunk = pos_ / cp;
             drain();
@@ -657,8 +691,9 @@ class OptChunkCursor : public TraceSink
                 recorder_.loadChunk(static_cast<std::size_t>(chunk),
                                     next_use_);
             }
+            noteChunkBytes();
             chunk_base_ = chunk * cp;
-            chunk_end_ = chunk_base_ + cp;
+            chunk_end_ = chunk_base_ + next_use_.size();
             if (recorder_.opts_.prefetch &&
                 chunk + 1 < total_chunks_) {
                 standby_chunk_ = chunk + 1;
@@ -688,6 +723,7 @@ class OptChunkCursor : public TraceSink
     std::uint64_t pos_ = 0;
     std::uint64_t chunk_base_ = 0;
     std::uint64_t chunk_end_ = 0;
+    std::uint64_t peak_chunk_bytes_ = 0;
 };
 
 OptCurve
@@ -723,15 +759,8 @@ OptNextUseRecorder::finish(
         stats->chunks_prefetched = chunks_prefetched_;
         stats->spilled_bytes = spilled_bytes_;
         stats->peak_pending_bytes = peak_pending_bytes_;
-        // Double buffering holds two chunk arrays only while a
-        // prefetch is in flight; a single-chunk trace (or prefetch
-        // off) never allocates the standby buffer.
-        const std::uint64_t chunk_buffers =
-            chunks_prefetched_ > 0 ? 2 : 1;
         stats->peak_resident_bytes =
-            peak_pending_bytes_ +
-            chunk_buffers * opts_.chunk_positions *
-                sizeof(std::uint64_t);
+            peak_pending_bytes_ + cursor.peakChunkBytes();
     }
     return stack.curve(pos_);
 }

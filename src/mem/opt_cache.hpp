@@ -121,9 +121,12 @@ class OptCurve
 /**
  * One-pass OPT miss/writeback curve over a whole capacity set.
  *
- * OPT with a fixed priority order (next use, then address — exactly
- * simulateOpt's tie-break) is a stack algorithm in the Mattson sense,
- * so its per-capacity contents are nested. The simulator keeps the
+ * OPT with a fixed priority order (next use; words never used again
+ * first, ordered by first touch) is a stack algorithm in the Mattson
+ * sense, so its per-capacity contents are nested. simulateOpt orders
+ * never-reused words by address instead; the counts cannot differ,
+ * because such words outrank every reused word as victims and no
+ * access finds them again. The simulator keeps the
  * Belady stack partitioned into bands between consecutive requested
  * capacities (plus an unordered overflow beyond the largest) and, on
  * each miss, cascades the per-band victims downward — one pass over
@@ -146,8 +149,9 @@ OptCurve simulateOptCurve(std::span<const Access> trace,
 struct OptStreamOptions
 {
     /// Next-use positions materialized at a time in pass 2; the
-    /// resident chunk array is 8 bytes per position. Default: 4Mi
-    /// positions = 32 MiB.
+    /// resident chunk array is 8 bytes per position, sized to the
+    /// positions left when fewer remain. Default: 4Mi positions =
+    /// at most 32 MiB.
     std::uint64_t chunk_positions = 1ull << 22;
     /// Pending (position -> next use) record bytes held in memory
     /// before the buckets spill to temp files. Default: 256 MiB —
@@ -177,10 +181,11 @@ struct OptStreamStats
     /// spill_threshold_bytes + one record).
     std::uint64_t peak_pending_bytes = 0;
     /// Upper bound on the analyzer's peak resident bytes beyond the
-    /// O(footprint) word tables: peak pending records plus the
-    /// materialized chunk buffers (two while a prefetch is in flight,
-    /// one otherwise). Independent of trace length by construction;
-    /// the stress tests assert it.
+    /// O(footprint) word tables: peak pending records plus the peak
+    /// bytes the chunk buffers allocated (walk buffer plus, with
+    /// prefetch on a multi-chunk trace, the standby). At most two
+    /// chunks' worth, independent of trace length; the stress tests
+    /// assert it.
     std::uint64_t peak_resident_bytes = 0;
 };
 

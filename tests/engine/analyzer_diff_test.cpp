@@ -12,7 +12,10 @@
  * registered kernel plus adversarial synthetic traces (wraparound
  * runs, all-cold streams, single-word hammers) and seeded random
  * mixes. The streaming stress also asserts the memory bound: peak
- * resident bytes stay put when the trace gets 8x longer.
+ * resident bytes stay put when the trace gets 8x longer, and count
+ * only the chunk positions a trace around one chunk long needs. The
+ * streaming OPT random mixes print their seed base; set KB_SEED to
+ * replay them.
  *
  * The fused-pipeline suite pins the chunked AnalysisPipeline and the
  * fused fully-assoc plane down the same way: one emission through the
@@ -24,7 +27,10 @@
  * block-scan rankInc against the original per-word loops.
  */
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <string>
 #include <utility>
@@ -588,6 +594,25 @@ TEST(StreamingOptDiff, MatchesBufferedOnAllKernels)
     }
 }
 
+/**
+ * Streaming OPT seed base: KB_SEED if set, else 0 (so the random
+ * mixes run seeds 31..36); printed once.
+ */
+std::uint64_t
+optSeedBase()
+{
+    static const std::uint64_t base = [] {
+        const char *env = std::getenv("KB_SEED");
+        const std::uint64_t s = env ? std::strtoull(env, nullptr, 0) : 0;
+        std::printf("[analyzer_diff_test] OPT seed base %llu (replay "
+                    "with KB_SEED=%llu)\n",
+                    static_cast<unsigned long long>(s),
+                    static_cast<unsigned long long>(s));
+        return s;
+    }();
+    return base;
+}
+
 TEST(StreamingOptDiff, MatchesBufferedOnAdversarialAndRandomRuns)
 {
     OptStreamOptions options;
@@ -595,7 +620,8 @@ TEST(StreamingOptDiff, MatchesBufferedOnAdversarialAndRandomRuns)
     options.spill_threshold_bytes = 1 << 12;
 
     auto streams = adversarialStreams();
-    for (std::uint64_t seed = 31; seed <= 36; ++seed)
+    for (std::uint64_t seed = optSeedBase() + 31;
+         seed <= optSeedBase() + 36; ++seed)
         streams.push_back(
             {"random_" + std::to_string(seed), randomStream(seed)});
     for (const auto &[label, runs] : streams) {
@@ -656,6 +682,80 @@ TEST(StreamingOptDiff, PeakResidentMemoryIndependentOfTraceLength)
     EXPECT_LE(sync_stats.peak_resident_bytes,
               options.spill_threshold_bytes + record +
                   options.chunk_positions * 8);
+}
+
+/**
+ * Trace lengths around one chunk: the walk materializes only the
+ * positions the trace has, and peak resident bytes count the chunk
+ * bytes actually allocated — one chunk, plus the prefetched standby
+ * when a second chunk exists.
+ */
+TEST(StreamingOptDiff, ChunkBoundaryLengthsMatchBufferedWithinBound)
+{
+    constexpr std::uint64_t cp = 256;
+    constexpr std::uint64_t record = 12;
+    OptStreamOptions options;
+    options.chunk_positions = cp;
+    options.spill_threshold_bytes = 1 << 10;
+
+    for (const std::uint64_t len : {cp / 3, cp - 1, cp, cp + 1}) {
+        for (const bool prefetch : {true, false}) {
+            SCOPED_TRACE("length " + std::to_string(len) +
+                         (prefetch ? ", prefetch" : ", no prefetch"));
+            options.prefetch = prefetch;
+            std::vector<Access> trace;
+            for (std::uint64_t i = 0; i < len; ++i) {
+                const std::uint64_t addr = (i * 7) % 41;
+                trace.push_back(i % 5 == 0 ? writeOf(addr) : readOf(addr));
+            }
+            OptStreamStats stats;
+            expectOptStreamingMatchesBuffered(trace, {1, 4, 16, 40},
+                                              options, &stats);
+            EXPECT_EQ(stats.positions, len);
+            EXPECT_EQ(stats.chunks_loaded, (len + cp - 1) / cp);
+            EXPECT_EQ(stats.chunks_prefetched,
+                      prefetch && len > cp ? 1u : 0u);
+            // The walk buffer holds the first chunk; with prefetch a
+            // second chunk is loaded into a standby buffer of its own
+            // size, without prefetch into the walk buffer.
+            const std::uint64_t first = std::min(len, cp);
+            const std::uint64_t resident =
+                first + (prefetch && len > cp ? len - cp : 0);
+            EXPECT_GE(stats.peak_resident_bytes,
+                      stats.peak_pending_bytes + first * 8);
+            EXPECT_LE(stats.peak_resident_bytes,
+                      stats.peak_pending_bytes + resident * 8);
+            EXPECT_LE(stats.peak_resident_bytes,
+                      options.spill_threshold_bytes + record +
+                          resident * 8);
+        }
+    }
+}
+
+/**
+ * A second emission longer than the first is fatal at its first extra
+ * position — whether the recorded trace ends on a chunk boundary or
+ * inside a chunk — instead of reading past the last chunk.
+ */
+TEST(StreamingOptDeath, LongerReemissionIsFatal)
+{
+    OptStreamOptions options;
+    options.chunk_positions = 8;
+    for (const std::uint64_t len : {8u, 13u}) {
+        SCOPED_TRACE("length " + std::to_string(len));
+        EXPECT_EXIT(
+            {
+                std::uint64_t emissions = 0;
+                simulateOptCurveStreaming(
+                    [&](TraceSink &sink) {
+                        const std::uint64_t n = len + emissions++;
+                        for (std::uint64_t i = 0; i < n; ++i)
+                            sink.onAccess(readOf(i % 3));
+                    },
+                    {1, 2}, options);
+            },
+            ::testing::ExitedWithCode(1), "did not replay.*more than");
+    }
 }
 
 void

@@ -9,11 +9,15 @@
  * (simulateOptCurve); the engine's fast-path jobs must return
  * exactly what the forced direct-replay jobs return; and a repeated
  * fast-path job must come out of the CurveStore without re-emitting
- * its trace.
+ * its trace. The OPT random differentials print their seed base;
+ * set KB_SEED to replay them.
  */
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -294,23 +298,103 @@ TEST_P(FastPathRandom, SetAssocRandomTracesMatchDirectReplay)
     }
 }
 
-/** Randomized OPT equivalence at a mixed capacity set. */
+/**
+ * OPT differential seed base: KB_SEED if set, else 0 (so the
+ * parameterized instances run seeds 1..8); printed once.
+ */
+std::uint64_t
+optSeedBase()
+{
+    static const std::uint64_t base = [] {
+        const char *env = std::getenv("KB_SEED");
+        const std::uint64_t s = env ? std::strtoull(env, nullptr, 0) : 0;
+        std::printf("[fastpath_test] OPT seed base %llu (replay with "
+                    "KB_SEED=%llu)\n",
+                    static_cast<unsigned long long>(s),
+                    static_cast<unsigned long long>(s));
+        return s;
+    }();
+    return base;
+}
+
+/**
+ * simulateOptCurve equals simulateOpt at every capacity of a mixed
+ * set and of two sets whose bands hold one word each (so every miss
+ * cascades through several full bands).
+ */
+void
+expectOptCurveMatchesSimulateOpt(const std::vector<Access> &trace)
+{
+    const std::vector<std::vector<std::uint64_t>> cap_sets = {
+        {1, 2, 5, 16, 33, 100, 250, 750, 5000}, {1, 2, 3, 4}, {63, 64, 65}};
+    for (const auto &caps : cap_sets) {
+        const auto curve = simulateOptCurve(trace, caps);
+        ASSERT_EQ(curve.accesses(), trace.size());
+        for (const auto cap : caps) {
+            SCOPED_TRACE("capacity " + std::to_string(cap));
+            const auto direct = simulateOpt(trace, cap);
+            EXPECT_EQ(curve.missesAt(cap), direct.stats.misses);
+            EXPECT_EQ(curve.writebacksAt(cap), direct.stats.writebacks);
+            EXPECT_EQ(curve.ioWords(cap), direct.stats.ioWords());
+        }
+    }
+}
+
+/** Randomized OPT equivalence on random read/write mixes. */
 TEST_P(FastPathRandom, OptRandomTracesMatchSimulateOpt)
 {
-    const auto seed = static_cast<std::uint64_t>(GetParam());
+    const std::uint64_t seed =
+        optSeedBase() + static_cast<std::uint64_t>(GetParam());
+    SCOPED_TRACE("seed " + std::to_string(seed));
     NullSink null;
-    const auto trace = randomTrace(seed, null);
-    const std::vector<std::uint64_t> caps = {1,  2,   5,   16,  33,
-                                             100, 250, 750, 5000};
-    const auto curve = simulateOptCurve(trace, caps);
-    ASSERT_EQ(curve.accesses(), trace.size());
-    for (const auto cap : caps) {
-        SCOPED_TRACE("capacity " + std::to_string(cap));
-        const auto direct = simulateOpt(trace, cap);
-        EXPECT_EQ(curve.missesAt(cap), direct.stats.misses);
-        EXPECT_EQ(curve.writebacksAt(cap), direct.stats.writebacks);
-        EXPECT_EQ(curve.ioWords(cap), direct.stats.ioWords());
+    expectOptCurveMatchesSimulateOpt(randomTrace(seed, null));
+}
+
+/**
+ * The never-reused tie-break: the curve orders words never used
+ * again by first touch, simulateOpt by address. A stream mostly of
+ * such words at addresses >= 2^63, touched in scrambled address
+ * order, around a small reused working set must still agree.
+ */
+TEST_P(FastPathRandom, OptNeverReusedHighAddressesMatchSimulateOpt)
+{
+    const std::uint64_t seed =
+        optSeedBase() + static_cast<std::uint64_t>(GetParam());
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Xoshiro256 rng(seed);
+    constexpr std::uint64_t kHigh = 1ull << 63;
+    std::vector<Access> trace;
+    std::uint64_t fresh = 0;
+    for (int step = 0; step < 800; ++step) {
+        // Odd multiplier: a bijection on the low 63 bits, so every
+        // fresh address is distinct and address order != touch order.
+        const std::uint64_t addr =
+            rng.below(5) == 0
+                ? rng.below(40)
+                : kHigh | ((++fresh * 0x9E3779B97F4A7C15ull) & (kHigh - 1));
+        trace.push_back(rng.below(3) == 0 ? writeOf(addr) : readOf(addr));
     }
+    expectOptCurveMatchesSimulateOpt(trace);
+}
+
+/** Runs crossing 2^64: addresses near the top of the space, most
+ *  re-touched, one run wrapping to 0. */
+TEST(OptFastPath, WraparoundRunsMatchSimulateOpt)
+{
+    const std::uint64_t top = std::numeric_limits<std::uint64_t>::max();
+    const struct
+    {
+        std::uint64_t base, words;
+        AccessType type;
+    } runs[] = {{top - 5, 16, AccessType::Read},
+                {top - 5, 16, AccessType::Write},
+                {top - 2, 7, AccessType::Read},
+                {3, 4, AccessType::Read}};
+    std::vector<Access> trace;
+    for (const auto &r : runs)
+        for (std::uint64_t i = 0; i < r.words; ++i)
+            trace.push_back(Access{r.base + i, r.type});
+    expectOptCurveMatchesSimulateOpt(trace);
 }
 
 /**
