@@ -32,11 +32,7 @@
  * runs so the warm number is what a *fresh process* would pay) —
  * measured both for a fast-path job and for a pure *replay* job
  * (E12's tile-headroom shape), whose per-point results ride the
- * store's ModelCurve entries. An `emission` section times every
- * registered trace backend (trace/backend.hpp) rendering the job's
- * trace — each backend is parity-checked against the scalar totals
- * with a CountingSink before its words/s number is reported. An
- * `orchestrator` section times the
+ * store's ModelCurve entries. An `orchestrator` section times the
  * work-queue coordinator over a small two-kernel grid, fault-free
  * and with one worker SIGKILLed mid-slice, so coordination overhead
  * and recovery cost are part of the trajectory too. The
@@ -64,7 +60,6 @@
 #include "util/faultpoint.hpp"
 #include "mem/lru_cache.hpp"
 #include "mem/opt_cache.hpp"
-#include "trace/backend.hpp"
 #include "trace/pipeline.hpp"
 #include "trace/replay.hpp"
 #include "trace/reuse.hpp"
@@ -333,44 +328,6 @@ writePerfReport(const bench::BenchContext &ctx, const std::string &path)
         return 1;
     }
 
-    // --- emission backends A/B: every registered backend renders the
-    // same fixed-schedule trace into a NullSink. Delivery is
-    // byte-identical across backends (the diff tests), so this
-    // isolates pure rendering cost; the CountingSink pass keeps the
-    // report honest about it. On a 1-CPU host the threaded number
-    // documents the ordered pipeline's overhead, not a speedup.
-    struct EmissionTiming
-    {
-        std::string name;
-        unsigned threads = 1;
-        double s = 0.0;
-    };
-    std::vector<EmissionTiming> emission_timings;
-    for (const auto &bname : TraceBackendRegistry::instance().names()) {
-        const auto backend =
-            TraceBackendRegistry::instance().make(bname, 0);
-        CountingSink check;
-        backend->emit(*kernel, n_trace, schedule_m, check);
-        if (check.total() != words) {
-            std::cerr << "perf-json: backend '" << bname
-                      << "' delivered " << check.total()
-                      << " words, scalar delivered " << words
-                      << "; refusing to report\n";
-            return 1;
-        }
-        EmissionTiming timing;
-        timing.name = bname;
-        if (const auto *threaded =
-                dynamic_cast<const ThreadedTraceBackend *>(
-                    backend.get()))
-            timing.threads = threaded->threads();
-        t0 = std::chrono::steady_clock::now();
-        NullSink devnull;
-        backend->emit(*kernel, n_trace, schedule_m, devnull);
-        timing.s = secondsSince(t0);
-        emission_timings.push_back(std::move(timing));
-    }
-
     // --- end-to-end fixed-schedule sweeps, fast path vs replay ---
     SweepJob job;
     job.kernel = kernel_name;
@@ -478,13 +435,13 @@ writePerfReport(const bench::BenchContext &ctx, const std::string &path)
     }
 
     // --- the fused pipeline A/B: every Mattson curve of a cold
-    // all-models sweep from ONE emission vs the separate passes
-    // earlier revisions ran. Separate = the fully associative pass
-    // (its pre-fusion scalar implementation) + the multi-set pass,
-    // each walking its own emission. Fused = one emission through the
+    // all-models sweep from ONE emission vs the separate passes.
+    // Separate = the fully associative pass + the multi-set pass, both
+    // on the SIMD path (like for like with the fused consumer), each
+    // walking its own emission. Fused = one emission through the
     // chunked pipeline into one consumer carrying the fully
     // associative plane inside the multi-set walk.
-    const double fused_separate_s = fa_scalar_s + multi_simd_s;
+    const double fused_separate_s = fa_simd_s + multi_simd_s;
     t0 = std::chrono::steady_clock::now();
     MultiSetReuseAnalyzer fused(grid_sets, 8, AnalyzerPath::Simd,
                                 true);
@@ -727,20 +684,6 @@ writePerfReport(const bench::BenchContext &ctx, const std::string &path)
                 : 0.0)
         << "\n"
         << "  },\n"
-        << "  \"emission\": {\n"
-        << "    \"trace_words\": " << words << ",\n"
-        << "    \"backends\": {\n";
-    for (std::size_t b = 0; b < emission_timings.size(); ++b) {
-        const auto &timing = emission_timings[b];
-        out << "      \"" << timing.name << "\": {\n"
-            << "        \"threads\": " << timing.threads << ",\n"
-            << "        \"emit_s\": " << timing.s << ",\n"
-            << "        \"words_per_s\": " << rate(timing.s) << "\n"
-            << "      }" << (b + 1 < emission_timings.size() ? "," : "")
-            << "\n";
-    }
-    out << "    }\n"
-        << "  },\n"
         << "  \"orchestrator\": {\n"
         << "    \"workers\": 2,\n"
         << "    \"grid_cells\": " << orch_cells << ",\n"
@@ -782,7 +725,7 @@ writePerfReport(const bench::BenchContext &ctx, const std::string &path)
               << " w/s"
               << "\nfused pipeline (all Mattson curves, one emission): "
               << fused_pipeline_s << " s vs " << fused_separate_s
-              << " s separate passes ("
+              << " s separate simd passes ("
               << (fused_pipeline_s > 0.0
                       ? fused_separate_s / fused_pipeline_s
                       : 0.0)

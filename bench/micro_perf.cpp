@@ -16,7 +16,6 @@
 #include "kernels/registry.hpp"
 #include "pebble/builders.hpp"
 #include "pebble/heuristic.hpp"
-#include "trace/backend.hpp"
 #include "trace/pipeline.hpp"
 #include "trace/replay.hpp"
 #include "trace/reuse.hpp"
@@ -398,15 +397,11 @@ BM_CountingSinkRuns(benchmark::State &state)
 BENCHMARK(BM_CountingSinkRuns)->Arg(1 << 10)->Arg(1 << 20);
 
 /**
- * Trace emission through a backend into a CountingSink, per opted-in
- * kernel: the scalar oracle vs the threaded tiled emitter. On a
- * 1-CPU container the pair documents parity (the ordered pipeline's
- * overhead); the speedup claim is the multi-core CI/host number.
- * items = words emitted, so the reported rate is words/s.
+ * Kernel::emitTrace into a CountingSink at the kernel's m = 4 m_lo
+ * sweep point. items = words emitted, so the reported rate is words/s.
  */
 void
-emitBenchmark(benchmark::State &state, const char *kernel_name,
-              const TraceBackend &backend)
+BM_Emit(benchmark::State &state, const char *kernel_name)
 {
     const auto kernel =
         KernelRegistry::instance().shared(kernel_name);
@@ -418,7 +413,7 @@ emitBenchmark(benchmark::State &state, const char *kernel_name,
     std::uint64_t words = 0;
     for (auto _ : state) {
         CountingSink sink;
-        backend.emit(*kernel, n, m, sink);
+        kernel->emitTrace(n, m, sink);
         words = sink.total();
         benchmark::DoNotOptimize(words);
     }
@@ -426,30 +421,11 @@ emitBenchmark(benchmark::State &state, const char *kernel_name,
                             static_cast<std::int64_t>(words));
 }
 
-void
-BM_EmitScalar(benchmark::State &state, const char *kernel_name)
-{
-    const ScalarTraceBackend backend;
-    emitBenchmark(state, kernel_name, backend);
-}
-
-void
-BM_EmitThreaded(benchmark::State &state, const char *kernel_name)
-{
-    const ThreadedTraceBackend backend(0); // hardware threads
-    emitBenchmark(state, kernel_name, backend);
-}
-
-BENCHMARK_CAPTURE(BM_EmitScalar, matmul, "matmul");
-BENCHMARK_CAPTURE(BM_EmitThreaded, matmul, "matmul");
-BENCHMARK_CAPTURE(BM_EmitScalar, stencil9, "stencil9");
-BENCHMARK_CAPTURE(BM_EmitThreaded, stencil9, "stencil9");
-BENCHMARK_CAPTURE(BM_EmitScalar, stencil9t, "stencil9t");
-BENCHMARK_CAPTURE(BM_EmitThreaded, stencil9t, "stencil9t");
-BENCHMARK_CAPTURE(BM_EmitScalar, matvec, "matvec");
-BENCHMARK_CAPTURE(BM_EmitThreaded, matvec, "matvec");
-BENCHMARK_CAPTURE(BM_EmitScalar, fft, "fft");
-BENCHMARK_CAPTURE(BM_EmitThreaded, fft, "fft");
+BENCHMARK_CAPTURE(BM_Emit, matmul, "matmul");
+BENCHMARK_CAPTURE(BM_Emit, stencil9, "stencil9");
+BENCHMARK_CAPTURE(BM_Emit, stencil9t, "stencil9t");
+BENCHMARK_CAPTURE(BM_Emit, matvec, "matvec");
+BENCHMARK_CAPTURE(BM_Emit, fft, "fft");
 
 void
 BM_StreamingReplayMatmul(benchmark::State &state)

@@ -12,7 +12,6 @@
 #include "mem/lru_cache.hpp"
 #include "mem/opt_cache.hpp"
 #include "mem/set_assoc.hpp"
-#include "trace/backend.hpp"
 #include "trace/pipeline.hpp"
 #include "trace/replay.hpp"
 #include "trace/reuse.hpp"
@@ -237,20 +236,16 @@ emitThroughBranches(const Kernel &kernel, std::uint64_t n,
         branches.push_back(&*replay);
     }
     KB_ASSERT(!branches.empty());
-    // One logical emission per job regardless of how the active
-    // backend chunks its rendering — the counter and every sink
-    // downstream see the backend's single delivered stream.
     g_emissions.fetch_add(1, std::memory_order_relaxed);
-    const TraceBackend &backend = activeTraceBackend();
     if (branches.size() == 1) {
         // One consumer gets the stream directly: chunking buys
         // nothing without a fan-out to amortize it over.
-        backend.emit(kernel, n, m, *branches.front());
+        kernel.emitTrace(n, m, *branches.front());
     } else {
         AnalysisPipeline pipeline;
         for (TraceSink *branch : branches)
             pipeline.attach(*branch);
-        backend.emit(kernel, n, m, pipeline);
+        kernel.emitTrace(n, m, pipeline);
         pipeline.flush();
     }
     if (replay)
@@ -507,8 +502,7 @@ executeJobTrace(PreparedJob &pj)
             opt_recorder->finish(
                 [&](TraceSink &sink) {
                     g_emissions.fetch_add(1, std::memory_order_relaxed);
-                    activeTraceBackend().emit(kernel, n_trace,
-                                              job.schedule_m, sink);
+                    kernel.emitTrace(n_trace, job.schedule_m, sink);
                 },
                 pj.grid));
         store.storeOpt(trace_key, opt_curve);

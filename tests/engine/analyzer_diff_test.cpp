@@ -14,8 +14,7 @@
  * mixes. The streaming stress also asserts the memory bound: peak
  * resident bytes stay put when the trace gets 8x longer, and count
  * only the chunk positions a trace around one chunk long needs. The
- * streaming OPT random mixes print their seed base; set KB_SEED to
- * replay them.
+ * random mixes print their seed base; set KB_SEED to replay them.
  *
  * The fused-pipeline suite pins the chunked AnalysisPipeline and the
  * fused fully-assoc plane down the same way: one emission through the
@@ -29,8 +28,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <string>
 #include <utility>
@@ -38,6 +35,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../seed.hpp"
 #include "kernels/registry.hpp"
 #include "mem/opt_cache.hpp"
 #include "mem/set_assoc.hpp"
@@ -257,6 +255,19 @@ randomStream(std::uint64_t seed)
     return runs;
 }
 
+/** Append the random mixes seedBase() + [first, last]. */
+void
+appendRandomStreams(
+    std::vector<std::pair<std::string, std::vector<Run>>> &streams,
+    std::uint64_t first, std::uint64_t last)
+{
+    for (std::uint64_t s = first; s <= last; ++s) {
+        const std::uint64_t seed = seedBase() + s;
+        streams.push_back(
+            {"random_" + std::to_string(seed), randomStream(seed)});
+    }
+}
+
 std::vector<Access>
 expand(const std::vector<Run> &runs)
 {
@@ -297,7 +308,7 @@ expectMatchesReference(const ReuseDistanceAnalyzer &analyzer,
 /** MarkRank against a naive bit vector, random set/clear/setRun. */
 TEST(MarkRankDiff, MatchesNaiveBitVector)
 {
-    Xoshiro256 rng(2024);
+    Xoshiro256 rng(seedBase() + 2024);
     MarkRank rank;
     std::vector<std::uint8_t> naive;
     std::vector<std::uint64_t> set_positions;
@@ -366,9 +377,7 @@ TEST(HierarchicalReuseDiff, MatchesFenwickOnAllKernels)
 TEST(HierarchicalReuseDiff, MatchesFenwickOnAdversarialAndRandomRuns)
 {
     auto streams = adversarialStreams();
-    for (std::uint64_t seed = 1; seed <= 12; ++seed)
-        streams.push_back(
-            {"random_" + std::to_string(seed), randomStream(seed)});
+    appendRandomStreams(streams, 1, 12);
 
     for (const auto &[label, runs] : streams) {
         SCOPED_TRACE(label);
@@ -443,9 +452,7 @@ TEST(MultiSetDiff, MatchesPerSetPassesAndReplayOnKernels)
 TEST(MultiSetDiff, MatchesPerSetPassesOnAdversarialAndRandomRuns)
 {
     auto streams = adversarialStreams();
-    for (std::uint64_t seed = 21; seed <= 26; ++seed)
-        streams.push_back(
-            {"random_" + std::to_string(seed), randomStream(seed)});
+    appendRandomStreams(streams, 21, 26);
     for (const auto &[label, runs] : streams) {
         SCOPED_TRACE(label);
         expectMultiSetMatches(expand(runs), {1, 2, 7, 16}, 4);
@@ -515,9 +522,7 @@ TEST(MultiSetSimdDiff, MatchesScalarOnAllKernels)
 TEST(MultiSetSimdDiff, MatchesScalarOnAdversarialShapes)
 {
     auto streams = adversarialStreams();
-    for (std::uint64_t seed = 41; seed <= 46; ++seed)
-        streams.push_back(
-            {"random_" + std::to_string(seed), randomStream(seed)});
+    appendRandomStreams(streams, 41, 46);
     // Mid-trace escape from the u32 compressed-row address range:
     // warm small addresses first, then a run past 2^32 forces the
     // one-time demotion to stamp rows, then more small-address reuse
@@ -594,25 +599,6 @@ TEST(StreamingOptDiff, MatchesBufferedOnAllKernels)
     }
 }
 
-/**
- * Streaming OPT seed base: KB_SEED if set, else 0 (so the random
- * mixes run seeds 31..36); printed once.
- */
-std::uint64_t
-optSeedBase()
-{
-    static const std::uint64_t base = [] {
-        const char *env = std::getenv("KB_SEED");
-        const std::uint64_t s = env ? std::strtoull(env, nullptr, 0) : 0;
-        std::printf("[analyzer_diff_test] OPT seed base %llu (replay "
-                    "with KB_SEED=%llu)\n",
-                    static_cast<unsigned long long>(s),
-                    static_cast<unsigned long long>(s));
-        return s;
-    }();
-    return base;
-}
-
 TEST(StreamingOptDiff, MatchesBufferedOnAdversarialAndRandomRuns)
 {
     OptStreamOptions options;
@@ -620,10 +606,7 @@ TEST(StreamingOptDiff, MatchesBufferedOnAdversarialAndRandomRuns)
     options.spill_threshold_bytes = 1 << 12;
 
     auto streams = adversarialStreams();
-    for (std::uint64_t seed = optSeedBase() + 31;
-         seed <= optSeedBase() + 36; ++seed)
-        streams.push_back(
-            {"random_" + std::to_string(seed), randomStream(seed)});
+    appendRandomStreams(streams, 31, 36);
     for (const auto &[label, runs] : streams) {
         SCOPED_TRACE(label);
         expectOptStreamingMatchesBuffered(expand(runs),
@@ -879,9 +862,7 @@ TEST(FusedPipelineDiff, MatchesSeparatePassesOnAllKernels)
 TEST(FusedPipelineDiff, MatchesSeparatePassesOnAdversarialAndRandomRuns)
 {
     auto streams = adversarialStreams();
-    for (std::uint64_t seed = 51; seed <= 56; ++seed)
-        streams.push_back(
-            {"random_" + std::to_string(seed), randomStream(seed)});
+    appendRandomStreams(streams, 51, 56);
     for (const auto &[label, runs] : streams) {
         SCOPED_TRACE(label);
         for (const auto path :
@@ -902,7 +883,7 @@ TEST(FusedPipelineDiff, ChunkBoundaryStress)
     // run/word mixes, 4096 is the production default. All must be
     // invisible: the consumer sees the identical op sequence.
     auto streams = adversarialStreams();
-    streams.push_back({"random_61", randomStream(61)});
+    appendRandomStreams(streams, 61, 61);
     for (const auto &[label, runs] : streams) {
         SCOPED_TRACE(label);
         for (const std::uint64_t chunk_ops : {1u, 7u, 4096u}) {
@@ -925,9 +906,7 @@ TEST(FusedPipelineDiff, ChunkBoundaryStress)
 TEST(FullyAssocSimdDiff, RunBlockIndexMatchesScalar)
 {
     auto streams = adversarialStreams();
-    for (std::uint64_t seed = 71; seed <= 76; ++seed)
-        streams.push_back(
-            {"random_" + std::to_string(seed), randomStream(seed)});
+    appendRandomStreams(streams, 71, 76);
     {
         // Block-index workout. `kb::Run` qualified: inside a TEST
         // body the unqualified name collides with testing::Test::Run.

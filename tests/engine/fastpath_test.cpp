@@ -15,14 +15,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../seed.hpp"
 #include "analysis/sweep.hpp"
 #include "engine/curve_store.hpp"
 #include "engine/engine.hpp"
@@ -299,25 +298,6 @@ TEST_P(FastPathRandom, SetAssocRandomTracesMatchDirectReplay)
 }
 
 /**
- * OPT differential seed base: KB_SEED if set, else 0 (so the
- * parameterized instances run seeds 1..8); printed once.
- */
-std::uint64_t
-optSeedBase()
-{
-    static const std::uint64_t base = [] {
-        const char *env = std::getenv("KB_SEED");
-        const std::uint64_t s = env ? std::strtoull(env, nullptr, 0) : 0;
-        std::printf("[fastpath_test] OPT seed base %llu (replay with "
-                    "KB_SEED=%llu)\n",
-                    static_cast<unsigned long long>(s),
-                    static_cast<unsigned long long>(s));
-        return s;
-    }();
-    return base;
-}
-
-/**
  * simulateOptCurve equals simulateOpt at every capacity of a mixed
  * set and of two sets whose bands hold one word each (so every miss
  * cascades through several full bands).
@@ -344,7 +324,7 @@ expectOptCurveMatchesSimulateOpt(const std::vector<Access> &trace)
 TEST_P(FastPathRandom, OptRandomTracesMatchSimulateOpt)
 {
     const std::uint64_t seed =
-        optSeedBase() + static_cast<std::uint64_t>(GetParam());
+        seedBase() + static_cast<std::uint64_t>(GetParam());
     SCOPED_TRACE("seed " + std::to_string(seed));
     NullSink null;
     expectOptCurveMatchesSimulateOpt(randomTrace(seed, null));
@@ -359,7 +339,7 @@ TEST_P(FastPathRandom, OptRandomTracesMatchSimulateOpt)
 TEST_P(FastPathRandom, OptNeverReusedHighAddressesMatchSimulateOpt)
 {
     const std::uint64_t seed =
-        optSeedBase() + static_cast<std::uint64_t>(GetParam());
+        seedBase() + static_cast<std::uint64_t>(GetParam());
     SCOPED_TRACE("seed " + std::to_string(seed));
     Xoshiro256 rng(seed);
     constexpr std::uint64_t kHigh = 1ull << 63;

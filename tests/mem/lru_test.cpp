@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the fully associative LRU memory.
+ * Unit tests for the fully associative LRU memory. The randomized
+ * differential prints its seed base; set KB_SEED to replay a run.
  */
 
 #include <cstdint>
@@ -9,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../seed.hpp"
 #include "mem/lru_cache.hpp"
 #include "util/rng.hpp"
 
@@ -178,7 +180,7 @@ TEST(LruCache, RandomizedMatchesReferenceImplementation)
 {
     for (const std::uint64_t cap : {1u, 2u, 7u, 32u, 257u}) {
         SCOPED_TRACE("capacity " + std::to_string(cap));
-        Xoshiro256 rng(cap);
+        Xoshiro256 rng(seedBase() + cap);
         LruCache cache(cap);
         ReferenceLru ref(cap);
         for (int i = 0; i < 20000; ++i) {

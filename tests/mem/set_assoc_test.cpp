@@ -5,18 +5,17 @@
  * The differential suite replays seeded streams through SetAssocCache
  * and through RefSetAssocCache, the nested-vector linear-scan model it
  * replaced, and requires every access() result and every MemoryStats
- * field to agree. The seed is printed; set KB_SEED to replay a run.
+ * field to agree. The seed base is printed; set KB_SEED to replay a run.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "../seed.hpp"
 #include "kernels/matmul.hpp"
 #include "mem/lru_cache.hpp"
 #include "mem/set_assoc.hpp"
@@ -132,22 +131,6 @@ class RefSetAssocCache : public LocalMemory
     std::uint64_t clock_ = 0;
     Xoshiro256 rng_;
 };
-
-/** Differential seed: KB_SEED if set, else a fixed default; printed. */
-std::uint64_t
-testSeed()
-{
-    static const std::uint64_t seed = [] {
-        const char *env = std::getenv("KB_SEED");
-        const std::uint64_t s =
-            env ? std::strtoull(env, nullptr, 0) : 0x5E7A55ULL;
-        std::printf("[set_assoc_test] seed %llu (replay with KB_SEED=%llu)\n",
-                    static_cast<unsigned long long>(s),
-                    static_cast<unsigned long long>(s));
-        return s;
-    }();
-    return seed;
-}
 
 /** Every MemoryStats field of @p got equals @p want's. */
 ::testing::AssertionResult
@@ -290,7 +273,7 @@ struct Geometry
  */
 TEST(SetAssocDiff, RandomStreamsMatchReference)
 {
-    const std::uint64_t seed = testSeed();
+    const std::uint64_t seed = seedBase() + 0x5E7A55;
     const Geometry geometries[] = {{1, 1},   {4, 2},  {17, 8},
                                    {256, 8}, {1, 64}, {1, 2048}};
     for (const Geometry g : geometries) {
