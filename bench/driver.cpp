@@ -20,7 +20,7 @@ namespace bench {
 namespace {
 
 /**
- * Thrown by runJobs() after a --shard run has written its fragment:
+ * Thrown by runJobs() after a --cells run has written its fragment:
  * the bench body's report would be meaningless on a partial grid, so
  * the driver unwinds out of it and exits 0. Internal to the driver —
  * bench bodies just run runJobs() and never see it.
@@ -67,26 +67,14 @@ printUsage(const char *prog, const char *experiment,
         "                           KB_ANALYZER env var, else simd).\n"
         "                           Curves are bit-identical for\n"
         "                           every path\n");
-    if (caps.perf_json)
-        std::fprintf(
-            stderr,
-            "  --perf-json PATH         measure and write the perf "
-            "report\n"
-            "                           (JSON) instead of the normal "
-            "tables\n");
     if (caps.shard)
         std::fprintf(
             stderr,
-            "  --shard I/N              run slice I of the sweep grid "
-            "and\n"
-            "                           write a fragment (see "
-            "--shard-out)\n"
             "  --cells LO-HI            run linearized grid cells "
             "[LO, HI)\n"
-            "                           and stream a fragment (the\n"
-            "                           orchestrator's worker flag)\n"
-            "  --shard-out PATH         fragment path for "
-            "--shard/--cells\n"
+            "                           and stream a fragment (see\n"
+            "                           --shard-out)\n"
+            "  --shard-out PATH         fragment path for --cells\n"
             "  --merge F0,F1,...        reassemble fragments and "
             "print the\n"
             "                           report (byte-identical to an\n"
@@ -294,20 +282,6 @@ BenchContext::runJobs(const std::vector<SweepJob> &jobs) const
         writer.finish();
         throw ShardFragmentWritten{path};
     }
-    if (!opts_.shard.empty()) {
-        ShardSpec spec;
-        KB_REQUIRE(parseShardSpec(opts_.shard, spec),
-                   "bad --shard value '", opts_.shard,
-                   "' (expected I/N with I < N)");
-        auto results = engine_.run(jobs, shardFilter(spec));
-        const std::string path =
-            !opts_.shard_out.empty()
-                ? opts_.shard_out
-                : "shard_" + std::to_string(spec.index) + "_of_" +
-                      std::to_string(spec.count) + ".kbshard";
-        writeShardFragment(path, spec, results);
-        throw ShardFragmentWritten{path};
-    }
     return engine_.run(jobs);
 }
 
@@ -442,28 +416,6 @@ runBench(int argc, char **argv, const char *experiment,
                 return 2;
             }
             opts.threads = static_cast<unsigned>(n);
-        } else if (arg == "--perf-json") {
-            if (!caps.perf_json)
-                return unsupported("--perf-json");
-            const char *v = value("--perf-json");
-            if (v == nullptr)
-                return 2;
-            opts.perf_json = v;
-        } else if (arg == "--shard") {
-            if (!caps.shard)
-                return unsupported("--shard");
-            const char *v = value("--shard");
-            if (v == nullptr)
-                return 2;
-            opts.shard = v;
-            ShardSpec spec;
-            if (!parseShardSpec(opts.shard, spec)) {
-                std::fprintf(stderr,
-                             "%s: --shard wants I/N with I < N, got "
-                             "'%s'\n",
-                             prog, v);
-                return 2;
-            }
         } else if (arg == "--cells") {
             if (!caps.shard)
                 return unsupported("--cells");
@@ -553,21 +505,19 @@ runBench(int argc, char **argv, const char *experiment,
         setActiveAnalyzerPath(path);
     }
     {
-        const int partitions = (!opts.shard.empty() ? 1 : 0) +
-                               (!opts.cells.empty() ? 1 : 0) +
+        const int partitions = (!opts.cells.empty() ? 1 : 0) +
                                (!opts.merge_paths.empty() ? 1 : 0);
         if (partitions > 1) {
             std::fprintf(stderr,
-                         "%s: --shard, --cells and --merge are "
-                         "mutually exclusive\n",
+                         "%s: --cells and --merge are mutually "
+                         "exclusive\n",
                          prog);
             return 2;
         }
         if (opts.jobs != 0 && partitions != 0) {
             std::fprintf(stderr,
                          "%s: --jobs already shards and merges; it is "
-                         "mutually exclusive with "
-                         "--shard/--cells/--merge\n",
+                         "mutually exclusive with --cells/--merge\n",
                          prog);
             return 2;
         }

@@ -15,16 +15,14 @@
  *     prints byte-identical tables to --threads 1);
  *   * keeps only its experiment-specific analysis code.
  *
- * Sharding (benches with BenchCaps::shard): `--shard i/N` runs only
- * the i-th slice of the expanded (job, point) grid and writes a
- * fragment file (--shard-out) instead of the normal report;
- * `--cells lo-hi` does the same for an arbitrary range of linearized
- * grid cells (the unit the orchestrator deals out), streaming rows
- * into the fragment as job groups complete so the growing file
+ * Sharding (benches with BenchCaps::shard): `--cells lo-hi` runs
+ * only that range of the linearized (job, point) grid and writes a
+ * fragment file (--shard-out) instead of the normal report,
+ * streaming rows into it as job groups complete so the growing file
  * doubles as a progress heartbeat; `--merge f0,f1,...` reassembles
  * fragments and prints the report byte-identical to an unsharded
- * run. The split is deterministic (engine/shard.hpp), so a sweep
- * grid can be distributed across processes or hosts and merged
+ * run. Cell numbering is deterministic (engine/shard.hpp), so a
+ * sweep grid can be distributed across processes or hosts and merged
  * afterwards. `--jobs N` does the whole dance in one command: the
  * driver re-execs ITSELF as `--cells` workers under the
  * fault-tolerant work-queue coordinator (engine/orchestrator.hpp:
@@ -67,8 +65,7 @@ struct BenchCaps
     bool kernels = true;    ///< --kernel restricts its sweeps
     bool points = true;     ///< --points resizes its sweeps
     bool threads = true;    ///< --threads feeds its engine use
-    bool perf_json = false; ///< --perf-json runs its perf-report mode
-    /// --shard/--merge: the bench routes exactly one job batch
+    /// --cells/--merge/--jobs: the bench routes exactly one job batch
     /// through BenchContext::runJobs(), so its grid can be split
     /// across processes and its report reassembled.
     bool shard = false;
@@ -90,18 +87,11 @@ struct DriverOptions
     std::string analyzer;
     std::string csv_path; ///< --csv: override the bench's CSV path
     bool no_csv = false;  ///< --no-csv: suppress CSV side outputs
-    /// --perf-json: write the bench's machine-readable perf report
-    /// here instead of running its normal tables (benches with
-    /// BenchCaps::perf_json only).
-    std::string perf_json;
-    /// --shard i/N: run one slice of the sweep grid and write a
-    /// fragment instead of the report (benches with BenchCaps::shard).
-    std::string shard;
     /// --cells lo-hi: run one linearized cell range of the grid and
-    /// stream a fragment (benches with BenchCaps::shard; the
-    /// orchestrator's worker-side flag).
+    /// stream a fragment instead of the report (benches with
+    /// BenchCaps::shard; also the orchestrator's worker-side flag).
     std::string cells;
-    /// --shard-out: fragment path (default shard_<i>_of_<N>.kbshard).
+    /// --shard-out: fragment path (default cells_<lo>_<hi>.kbshard).
     std::string shard_out;
     /// --merge: fragment paths to reassemble into the full report
     /// (repeatable flag, commas allowed).
@@ -109,7 +99,7 @@ struct DriverOptions
     /// --jobs N: run the grid through the work-queue coordinator
     /// with N concurrent worker subprocesses of this very binary
     /// (benches with BenchCaps::shard; mutually exclusive with
-    /// --shard/--cells/--merge; 0 or 1 = run inline).
+    /// --cells/--merge; 0 or 1 = run inline).
     unsigned jobs = 0;
     /// --curve-store DIR: enable the CurveStore's on-disk tier at DIR.
     std::string curve_store_dir;
@@ -154,13 +144,14 @@ class BenchContext
 
     /**
      * Run one batch of jobs honoring the sharding flags. Without
-     * --shard/--merge this is engine().run(jobs). With --merge it
-     * reassembles the fragments into the full result (so the bench
-     * body formats a report byte-identical to an unsharded run).
-     * With --shard it measures only the owned grid slice, writes the
-     * fragment, and unwinds out of the bench body (runBench catches
-     * the unwind and exits 0) — a bench with BenchCaps::shard must
-     * route its one job batch through here.
+     * --cells/--merge/--jobs this is engine().run(jobs). With --merge
+     * (or --jobs, after its workers finish) it reassembles the
+     * fragments into the full result, so the bench body formats a
+     * report byte-identical to an unsharded run. With --cells it
+     * measures only that cell range, writes the fragment, and unwinds
+     * out of the bench body (runBench catches the unwind and exits
+     * 0) — a bench with BenchCaps::shard must route its one job batch
+     * through here.
      */
     std::vector<SweepResult>
     runJobs(const std::vector<SweepJob> &jobs) const;

@@ -70,7 +70,7 @@
  * always prepared in full and identically for every filter, so
  * disjoint shards computed in different processes can be merged into
  * a result bit-identical to an unsharded run (engine/shard.hpp
- * builds the fragment format and the bench driver's --shard/--merge
+ * builds the fragment format and the bench driver's --cells/--merge
  * on top of this).
  */
 

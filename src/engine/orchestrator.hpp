@@ -2,15 +2,14 @@
  * @file
  * Fault-tolerant work-queue orchestration of sweep grids.
  *
- * PR 5's orchestrator spawned one `--shard i/N` subprocess per shard
- * and retried whole shards; a single slow or dead worker stalled (or
- * sank) the entire run, and the static split could not rebalance.
- * This coordinator replaces it with a work queue over fine-grained
- * *cell slices* (engine/shard.hpp): the grid's linearized cells are
- * carved into several slices per worker slot, workers are re-execed
- * bench invocations (`--cells lo-hi --shard-out FRAG`), and the
- * coordinator deals the next slice to whichever slot frees up first —
- * a fast worker simply takes more slices.
+ * The coordinator runs a work queue over fine-grained *cell slices*
+ * (engine/shard.hpp) rather than one static partition per worker,
+ * so a single slow or dead worker neither stalls nor sinks the run:
+ * the grid's linearized cells are carved into several slices per
+ * worker slot, workers are re-execed bench invocations
+ * (`--cells lo-hi --shard-out FRAG`), and the coordinator deals the
+ * next slice to whichever slot frees up first — a fast worker simply
+ * takes more slices, and a failed slice is retried on its own.
  *
  * Failure policy, all unit-testable because nothing here aborts:
  *
@@ -105,8 +104,8 @@ struct OrchestratorSpec
     std::uint64_t seed = 0;     ///< backoff jitter seed
 };
 
-/** Counters for the `orchestrator` perf-json section and stderr
- *  summary; recovery cost is visible, not guessed at. */
+/** Counters for the driver's stderr `orchestrator:` summary;
+ *  recovery cost is visible, not guessed at. */
 struct OrchestratorStats
 {
     std::size_t slices = 0;     ///< slices the grid was carved into

@@ -19,8 +19,8 @@ namespace {
 
 constexpr const char *kFragmentMagic = "kbshard";
 // Version 2: the per-shard `shard i N` line became a free-form
-// `owner` line, so work-queue cell fragments and static shard
-// fragments share one format (ownership lives in the point rows).
+// `owner` line (ownership lives in the point rows), so fragments
+// written by any binary of this format stay mergeable.
 constexpr unsigned kFragmentVersion = 2;
 
 std::string
@@ -40,57 +40,7 @@ bitsFromHex(const std::string &hex, bool &ok)
     return std::bit_cast<double>(bits);
 }
 
-/** One `point` row, shared by both fragment writers. */
-void
-writePointRow(std::ostream &out, std::size_t j, std::size_t p,
-              const SweepPointResult &pt)
-{
-    out << "point " << j << " " << p << " " << pt.sample.m << " "
-        << hexBits(pt.sample.ratio) << " " << hexBits(pt.sample.comp_ops)
-        << " " << hexBits(pt.sample.io_words);
-    for (const auto io : pt.model_io)
-        out << " " << io;
-    out << "\n";
-}
-
 } // namespace
-
-bool
-parseShardSpec(const std::string &text, ShardSpec &out)
-{
-    const auto slash = text.find('/');
-    if (slash == std::string::npos || slash == 0 ||
-        slash + 1 >= text.size())
-        return false;
-    const std::string idx = text.substr(0, slash);
-    const std::string cnt = text.substr(slash + 1);
-    // Digits only, and few enough of them that stoull cannot throw
-    // out_of_range (no real split needs more than 9 digits anyway).
-    const auto numeric = [](const std::string &s) {
-        return !s.empty() && s.size() <= 9 &&
-               s.find_first_not_of("0123456789") == std::string::npos;
-    };
-    if (!numeric(idx) || !numeric(cnt))
-        return false;
-    out.index = static_cast<std::size_t>(std::stoull(idx));
-    out.count = static_cast<std::size_t>(std::stoull(cnt));
-    return out.count >= 1 && out.index < out.count;
-}
-
-bool
-shardOwnsPoint(const ShardSpec &spec, std::size_t job,
-               std::size_t point)
-{
-    return (job + point) % spec.count == spec.index;
-}
-
-ExperimentEngine::PointFilter
-shardFilter(const ShardSpec &spec)
-{
-    return [spec](std::size_t job, std::size_t point) {
-        return shardOwnsPoint(spec, job, point);
-    };
-}
 
 std::uint64_t
 sweepSignature(const std::vector<SweepResult> &results)
@@ -124,29 +74,6 @@ sweepSignature(const std::vector<SweepResult> &results)
             w.u64(point.sample.m);
     }
     return fnv1a64(w.bytes());
-}
-
-void
-writeShardFragment(const std::string &path, const ShardSpec &spec,
-                   const std::vector<SweepResult> &results)
-{
-    std::ofstream out(path, std::ios::trunc);
-    KB_REQUIRE(static_cast<bool>(out), "cannot open shard fragment ",
-               path, " for writing");
-    out << kFragmentMagic << " " << kFragmentVersion << "\n"
-        << "signature " << toHex16(sweepSignature(results)) << "\n"
-        << "owner shard " << spec.index << "/" << spec.count << "\n"
-        << "jobs " << results.size() << "\n";
-    for (std::size_t j = 0; j < results.size(); ++j) {
-        const auto &points = results[j].points;
-        for (std::size_t p = 0; p < points.size(); ++p) {
-            if (!shardOwnsPoint(spec, j, p))
-                continue;
-            writePointRow(out, j, p, points[p]);
-        }
-    }
-    out << "end\n";
-    KB_REQUIRE(out.good(), "write error on shard fragment ", path);
 }
 
 void
@@ -196,7 +123,7 @@ mergeShardFragments(std::vector<SweepResult> &skeleton,
                        ")");
         }
         {
-            // Free-form provenance ("shard 0/2", "cells 4-9"): cells
+            // Free-form provenance ("cells", "shard 0/2"): cells
             // are keyed by (job, point) in the rows themselves, so
             // ownership needs no cross-fragment consistency check —
             // the per-cell duplicate check below subsumes it.
@@ -277,6 +204,8 @@ parseCellRange(const std::string &text, CellRange &out)
         return false;
     const std::string lo = text.substr(0, dash);
     const std::string hi = text.substr(dash + 1);
+    // Digits only, and few enough of them that stoull cannot throw
+    // out_of_range (no real grid needs more than 9 digits anyway).
     const auto numeric = [](const std::string &s) {
         return !s.empty() && s.size() <= 9 &&
                s.find_first_not_of("0123456789") == std::string::npos;
@@ -348,7 +277,12 @@ CellFragmentWriter::appendCell(std::size_t job, std::size_t point,
                                const SweepPointResult &pt)
 {
     KB_ASSERT(!finished_, "appendCell after finish on ", path_);
-    writePointRow(out_, job, point, pt);
+    out_ << "point " << job << " " << point << " " << pt.sample.m << " "
+         << hexBits(pt.sample.ratio) << " " << hexBits(pt.sample.comp_ops)
+         << " " << hexBits(pt.sample.io_words);
+    for (const auto io : pt.model_io)
+        out_ << " " << io;
+    out_ << "\n";
     // The flush is the heartbeat: the orchestrator watches this file
     // grow, and a worker that stalls past its deadline is killed.
     out_.flush();

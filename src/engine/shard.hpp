@@ -4,38 +4,34 @@
  *
  * A batch of SweepJobs expands to a deterministic (job, point) grid
  * (the engine's phase-1 resolution is identical in every process),
- * so the grid can be partitioned across independent invocations —
- * the first step toward the ROADMAP's cross-host job distribution.
- * Two partitions exist:
+ * so the grid can be partitioned across independent invocations.
+ * The unit of partition is a *cell range* over the linearized grid,
+ * behind `--cells lo-hi`: cells are numbered job-major in the
+ * deterministic resolution order, so every process agrees on what
+ * cell k means. The work-queue orchestrator (engine/orchestrator.hpp)
+ * deals such ranges to its workers, and a hand-driven cross-host run
+ * passes them explicitly.
  *
- *  * the static `(job + point) % N == i` split behind `--shard i/N`
- *    (hand-driven distribution across hosts), and
- *  * arbitrary *cell ranges* over the linearized grid behind
- *    `--cells lo-hi` — the unit the work-queue orchestrator deals out
- *    (engine/orchestrator.hpp): cells are numbered job-major in the
- *    deterministic resolution order, so every process agrees on what
- *    cell k means.
- *
- * Either way the owning process serializes its cells to a *fragment*
- * file and a merge pass reassembles disjoint fragments into the full
- * result vector, bit-identical to an unsharded run (doubles travel
- * as raw IEEE-754 bit patterns, never through decimal round-trips) —
+ * The owning process serializes its cells to a *fragment* file and a
+ * merge pass reassembles disjoint fragments into the full result
+ * vector, bit-identical to an unsharded run (doubles travel as raw
+ * IEEE-754 bit patterns, never through decimal round-trips) —
  * results are tagged by grid cell, never by which worker computed
- * them, so merges are invariant to how slices were (re)assigned.
+ * them, so merges are invariant to how ranges were (re)assigned.
  *
  * Fragments are line-oriented text (one `point` row per owned cell)
- * and carry a signature over the resolved job list, so fragments
- * from a different job grid, flag set, or binary revision are
- * rejected instead of silently merged. Cell fragments are written
+ * and carry a signature over the resolved job grid, so fragments
+ * from a different job list, flag set, or grid construction are
+ * rejected instead of silently merged. They are written
  * *incrementally* (header first, one flushed row per completed cell,
  * a final `end` line): the growing file doubles as the worker's
  * heartbeat — the orchestrator kills a worker whose fragment stops
  * growing — and a fragment without its `end` line is detectably
- * truncated, so a crash mid-slice can never smuggle a partial slice
+ * truncated, so a crash mid-range can never smuggle a partial range
  * past the merge. checkFragmentFile() is the cheap accept-time
  * validation the orchestrator runs before trusting a worker's exit
  * status; mergeShardFragments() remains the strict backstop. With
- * the on-disk CurveStore enabled, shards of one fixed-schedule sweep
+ * the on-disk CurveStore enabled, workers of one fixed-schedule sweep
  * also share their single-pass curves through tier 2 — the features
  * compose.
  */
@@ -52,47 +48,20 @@
 
 namespace kb {
 
-/** One shard of an N-way partitioned sweep grid. */
-struct ShardSpec
-{
-    std::size_t index = 0; ///< in [0, count)
-    std::size_t count = 1; ///< total shards
-};
-
-/** Parse "i/N" (e.g. "0/2"); false on malformed input or i >= N. */
-bool parseShardSpec(const std::string &text, ShardSpec &out);
-
-/** Deterministic ownership: shard (job + point) % count == index.
- *  Round-robin over both axes keeps shards balanced whether a batch
- *  is many small jobs or one wide job. */
-bool shardOwnsPoint(const ShardSpec &spec, std::size_t job,
-                    std::size_t point);
-
-/** The engine PointFilter measuring exactly @p spec's cells. */
-ExperimentEngine::PointFilter shardFilter(const ShardSpec &spec);
-
 /**
  * Content signature of a resolved job grid: every field of every
  * resolved job plus its grid size, hashed. Depends only on the
  * engine's deterministic phase-1 resolution — not on measurements —
- * so every shard of one grid computes the same value.
+ * so every worker of one grid computes the same value.
  */
 std::uint64_t sweepSignature(const std::vector<SweepResult> &results);
 
 /**
- * Write @p spec's owned cells of @p results to a fragment file.
- * @p results must come from an engine run filtered by @p spec (or a
- * superset); fatal on an unwritable path.
- */
-void writeShardFragment(const std::string &path, const ShardSpec &spec,
-                        const std::vector<SweepResult> &results);
-
-/**
  * Merge fragment files into @p skeleton: the resolved-but-unmeasured
  * result vector of the same job list (run the engine with a filter
- * owning nothing to get one — it costs no measurements). Shard and
- * cell fragments mix freely; cells are keyed by (job, point), never
- * by who computed them. Fatal on a signature mismatch, an unreadable
+ * owning nothing to get one — it costs no measurements). Cells are
+ * keyed by (job, point), never by who computed them. Fatal on a
+ * signature mismatch, an unreadable
  * or malformed fragment, a cell supplied twice, or incomplete
  * coverage — a partial merge must never masquerade as a full run.
  */

@@ -562,6 +562,11 @@ class MultiSetReuseAnalyzer : public TraceSink
 
     AnalyzerPath path() const { return path_; }
 
+    /** Whether the Simd path still runs on the compressed u32 rows:
+     *  false once a run past simd::kOrderedMaxAddr demoted them, or
+     *  when they never applied (Scalar path, stride other than 8). */
+    bool compressedRows() const { return compressed_; }
+
     /** Whether a fused fully associative pass rides this walk. */
     bool hasFullyAssoc() const { return fully_ != nullptr; }
 
@@ -740,6 +745,9 @@ class ReuseDistanceAnalyzer : public TraceSink
     std::uint64_t accesses() const { return time_; }
     /** Number of distinct words touched. */
     std::uint64_t distinctWords() const { return last_use_.size(); }
+    /** Size of the compact stamp domain: grows one per access and
+     *  drops back to distinctWords() when the stamps are compacted. */
+    std::uint64_t stampDomain() const { return pos_; }
 
     /** Build the capacity -> misses/writebacks curve. */
     MissCurve missCurve() const;

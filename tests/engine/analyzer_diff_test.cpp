@@ -37,6 +37,7 @@
 
 #include "../seed.hpp"
 #include "kernels/registry.hpp"
+#include "mem/lru_cache.hpp"
 #include "mem/opt_cache.hpp"
 #include "mem/set_assoc.hpp"
 #include "trace/pipeline.hpp"
@@ -44,6 +45,7 @@
 #include "trace/sink.hpp"
 #include "util/flat_map.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace kb {
 namespace {
@@ -556,6 +558,99 @@ TEST(MultiSetSimdDiff, MatchesScalarOnAdversarialShapes)
     }
 }
 
+/**
+ * The u32 guard of the compressed rows, at its boundary. Addresses up
+ * to simd::kOrderedMaxAddr fit a compressed row; 0xFFFFFFFF is the
+ * kOrderedEmpty slot sentinel, so it must never enter one. Runs that
+ * end exactly at the bound (and one word at it) keep the rows
+ * compressed; a single access at the sentinel value demotes them.
+ * Before and after, every plane's curve matches the Scalar oracle.
+ */
+TEST(MultiSetSimdDiff, U32GuardBoundary)
+{
+    static_assert(simd::kOrderedMaxAddr == 0xFFFFFFFEull);
+    static_assert(simd::kOrderedEmpty == simd::kOrderedMaxAddr + 1);
+    const std::uint64_t top = simd::kOrderedMaxAddr;
+    const std::uint64_t sentinel = top + 1;
+    const std::uint64_t seed = seedBase() + 81;
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Xoshiro256 rng(seed);
+    const auto type = [&rng] {
+        return rng.below(3) == 0 ? AccessType::Write : AccessType::Read;
+    };
+
+    // Below the guard: small-address reuse mixed with runs whose last
+    // word is exactly the bound, then one word at the bound itself.
+    // `kb::Run` qualified: inside a TEST body the unqualified name
+    // collides with testing::Test::Run.
+    std::vector<kb::Run> at_bound;
+    for (int i = 0; i < 160; ++i) {
+        const std::uint64_t len = 1 + rng.below(24);
+        const std::uint64_t base =
+            i % 4 == 0 ? top - (len - 1) : rng.below(512);
+        at_bound.push_back({base, len, type()});
+    }
+    at_bound.push_back({top, 1, AccessType::Write});
+    // Past the guard, on the demoted stamp rows: the sentinel word
+    // again, runs across it, and the same small-address reuse.
+    std::vector<kb::Run> past;
+    for (int i = 0; i < 160; ++i) {
+        const std::uint64_t len = 1 + rng.below(24);
+        const std::uint64_t base =
+            i % 5 == 0 ? sentinel - rng.below(len) : rng.below(512);
+        past.push_back({base, len, type()});
+    }
+
+    const std::vector<std::uint64_t> set_counts{1, 2, 7, 16};
+    for (const std::uint64_t ways : {1u, 7u, 8u}) {
+        SCOPED_TRACE("max_ways " + std::to_string(ways));
+        MultiSetReuseAnalyzer simd(set_counts, ways, AnalyzerPath::Simd);
+        MultiSetReuseAnalyzer scalar(set_counts, ways,
+                                     AnalyzerPath::Scalar);
+        // Only stride-8 rows compress: lane padding decides which
+        // max_ways reach 8.
+        const std::uint64_t lanes = simd::kLaneWidth;
+        const bool compressed = (ways + lanes - 1) / lanes * lanes == 8;
+        EXPECT_EQ(simd.compressedRows(), compressed);
+
+        const auto feed = [&](const std::vector<kb::Run> &runs) {
+            for (const auto &r : runs) {
+                simd.onRun(r.base, r.words, r.type);
+                scalar.onRun(r.base, r.words, r.type);
+            }
+        };
+        const auto expectSameCurves = [&] {
+            for (std::size_t p = 0; p < set_counts.size(); ++p) {
+                SCOPED_TRACE("sets " + std::to_string(set_counts[p]));
+                const auto s = simd.waysCurve(p);
+                const auto o = scalar.waysCurve(p);
+                for (std::uint64_t w = 1; w <= ways + 3; ++w) {
+                    EXPECT_EQ(s.missesAt(w), o.missesAt(w))
+                        << "ways " << w;
+                    EXPECT_EQ(s.writebacksAt(w), o.writebacksAt(w))
+                        << "ways " << w;
+                }
+            }
+        };
+
+        feed(at_bound);
+        EXPECT_EQ(simd.compressedRows(), compressed)
+            << "addresses up to kOrderedMaxAddr must stay compressed";
+        expectSameCurves();
+
+        simd.onAccess(Access{sentinel, AccessType::Read});
+        scalar.onAccess(Access{sentinel, AccessType::Read});
+        EXPECT_FALSE(simd.compressedRows())
+            << "an access at kOrderedEmpty must demote the rows";
+        expectSameCurves();
+
+        feed(past);
+        feed(at_bound);
+        EXPECT_FALSE(simd.compressedRows());
+        expectSameCurves();
+    }
+}
+
 void
 expectOptStreamingMatchesBuffered(const std::vector<Access> &trace,
                                   std::vector<std::uint64_t> caps,
@@ -938,6 +1033,101 @@ TEST(FullyAssocSimdDiff, RunBlockIndexMatchesScalar)
                 << "capacity " << m;
             EXPECT_EQ(s.writebacksAt(m), o.writebacksAt(m))
                 << "capacity " << m;
+        }
+    }
+}
+
+/**
+ * Stamp compaction in ReuseDistanceAnalyzer, at its trigger: the
+ * first access or run that finds stampDomain() >= max(2^16,
+ * 4 x footprint) renumbers the stamps, shrinking the domain to the
+ * footprint. The clock crosses the trigger exactly twice, once by
+ * single words and once by a run boundary, at footprints below 2^14
+ * (the 2^16 floor binds), at it (both bind) and above it (4 x
+ * footprint binds), on both paths. The curves then match direct
+ * LruCache replay at capacities around the footprint.
+ */
+TEST(ReuseCompactionBoundary, TriggerCrossedExactlyMatchesLruReplay)
+{
+    constexpr std::uint64_t kFloor = 1ull << 16;
+    constexpr std::uint64_t kAddr0 = 1ull << 20;
+    for (const std::uint64_t footprint :
+         {(1ull << 14) - 5, 1ull << 14, (1ull << 14) + 7}) {
+        SCOPED_TRACE("footprint " + std::to_string(footprint));
+        const std::uint64_t trigger = std::max(kFloor, 4 * footprint);
+        const std::uint64_t seed = seedBase() + 91 + footprint;
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Xoshiro256 rng(seed);
+        const auto type = [&rng] {
+            return rng.below(4) == 0 ? AccessType::Write
+                                     : AccessType::Read;
+        };
+
+        // Phase 1, single words: touch the whole footprint, then
+        // random reuse up to exactly `trigger` accesses, then the one
+        // access whose entry compacts.
+        std::vector<Access> words;
+        for (std::uint64_t w = 0; w < footprint; ++w)
+            words.push_back({kAddr0 + w, type()});
+        while (words.size() < trigger + 1)
+            words.push_back({kAddr0 + rng.below(footprint), type()});
+        // Phase 2, runs over the same words: their lengths sum to
+        // exactly `trigger` again after phase 1's compaction, so the
+        // next run's entry compacts; a few more runs follow.
+        std::vector<kb::Run> runs;
+        std::uint64_t domain = footprint + 1;
+        while (domain < trigger) {
+            const std::uint64_t len =
+                std::min(1 + rng.below(64), trigger - domain);
+            runs.push_back(
+                {kAddr0 + rng.below(footprint - len + 1), len, type()});
+            domain += len;
+        }
+        const std::size_t crossing = runs.size();
+        for (int i = 0; i < 64; ++i) {
+            const std::uint64_t len = 1 + rng.below(64);
+            runs.push_back(
+                {kAddr0 + rng.below(footprint - len + 1), len, type()});
+        }
+
+        for (const auto path :
+             {AnalyzerPath::Scalar, AnalyzerPath::Simd}) {
+            SCOPED_TRACE(std::string("path ") + analyzerPathName(path));
+            ReuseDistanceAnalyzer rd(path);
+            for (std::uint64_t i = 0; i < trigger; ++i)
+                rd.onAccess(words[i]);
+            EXPECT_EQ(rd.stampDomain(), trigger)
+                << "compacted before the trigger";
+            rd.onAccess(words[trigger]);
+            EXPECT_EQ(rd.stampDomain(), footprint + 1)
+                << "did not compact at the trigger";
+            for (std::size_t i = 0; i < crossing; ++i)
+                rd.onRun(runs[i].base, runs[i].words, runs[i].type);
+            EXPECT_EQ(rd.stampDomain(), trigger)
+                << "compacted before the trigger";
+            rd.onRun(runs[crossing].base, runs[crossing].words,
+                     runs[crossing].type);
+            EXPECT_EQ(rd.stampDomain(),
+                      footprint + runs[crossing].words)
+                << "did not compact at the trigger";
+            for (std::size_t i = crossing + 1; i < runs.size(); ++i)
+                rd.onRun(runs[i].base, runs[i].words, runs[i].type);
+            ASSERT_EQ(rd.distinctWords(), footprint);
+
+            const auto curve = rd.missCurve();
+            for (const std::uint64_t cap : std::vector<std::uint64_t>{
+                     1, 64, footprint / 2, footprint - 1, footprint}) {
+                LruCache lru(cap);
+                for (const auto &a : words)
+                    lru.access(a);
+                for (const auto &a : expand(runs))
+                    lru.access(a);
+                lru.flush();
+                EXPECT_EQ(curve.missesAt(cap), lru.stats().misses)
+                    << "capacity " << cap;
+                EXPECT_EQ(curve.writebacksAt(cap), lru.stats().writebacks)
+                    << "capacity " << cap;
+            }
         }
     }
 }

@@ -243,15 +243,19 @@ TEST(OrchestratorMergeGuards, PartialMergeIsRefused)
     job.points = 4;
 
     const ExperimentEngine engine(1);
-    const ShardSpec spec{0, 2};
-    const auto partial = engine.run({job}, shardFilter(spec));
+    auto skeleton = engine.run(
+        {job}, [](std::size_t, std::size_t) { return false; });
+    const CellRange half{0, 2};
+    const auto partial = engine.run({job}, cellRangeFilter(skeleton, half));
     const std::string dir = scratchDir("partial");
     fs::create_directories(dir);
     const std::string frag = dir + "/frag0.kbshard";
-    writeShardFragment(frag, spec, partial);
+    CellFragmentWriter writer(frag, sweepSignature(skeleton),
+                              skeleton.size());
+    for (std::size_t p = half.lo; p < half.hi; ++p)
+        writer.appendCell(0, p, partial[0].points[p]);
+    writer.finish();
 
-    auto skeleton = engine.run(
-        {job}, [](std::size_t, std::size_t) { return false; });
     EXPECT_EXIT({ mergeShardFragments(skeleton, {frag}); },
                 ::testing::ExitedWithCode(1), "missing cell");
 }
