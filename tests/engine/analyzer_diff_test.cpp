@@ -461,6 +461,23 @@ TEST(MultiSetDiff, MatchesPerSetPassesOnAdversarialAndRandomRuns)
     }
 }
 
+/** Every plane of @p a has @p b's ways curve, up to max_ways + 3. */
+void
+expectSameWaysCurves(const MultiSetReuseAnalyzer &a,
+                     const MultiSetReuseAnalyzer &b)
+{
+    for (std::size_t p = 0; p < a.planeCount(); ++p) {
+        SCOPED_TRACE("sets " + std::to_string(a.setsAt(p)));
+        const auto s = a.waysCurve(p);
+        const auto o = b.waysCurve(p);
+        for (std::uint64_t w = 1; w <= a.maxWays() + 3; ++w) {
+            EXPECT_EQ(s.missesAt(w), o.missesAt(w)) << "ways " << w;
+            EXPECT_EQ(s.writebacksAt(w), o.writebacksAt(w))
+                << "ways " << w;
+        }
+    }
+}
+
 /** SIMD row scans against the scalar oracle: identical curves. Runs
  *  feed the bulk onRun path so the compressed ordered rows engage. */
 void
@@ -476,16 +493,7 @@ expectSimdMatchesScalar(const std::vector<Run> &runs,
         simd.onRun(r.base, r.words, r.type);
         scalar.onRun(r.base, r.words, r.type);
     }
-    for (std::size_t p = 0; p < set_counts.size(); ++p) {
-        SCOPED_TRACE("sets " + std::to_string(set_counts[p]));
-        const auto s = simd.waysCurve(p);
-        const auto o = scalar.waysCurve(p);
-        for (std::uint64_t w = 1; w <= max_ways + 3; ++w) {
-            EXPECT_EQ(s.missesAt(w), o.missesAt(w)) << "ways " << w;
-            EXPECT_EQ(s.writebacksAt(w), o.writebacksAt(w))
-                << "ways " << w;
-        }
-    }
+    expectSameWaysCurves(simd, scalar);
 }
 
 TEST(MultiSetSimdDiff, MatchesScalarOnAllKernels)
@@ -619,35 +627,22 @@ TEST(MultiSetSimdDiff, U32GuardBoundary)
                 scalar.onRun(r.base, r.words, r.type);
             }
         };
-        const auto expectSameCurves = [&] {
-            for (std::size_t p = 0; p < set_counts.size(); ++p) {
-                SCOPED_TRACE("sets " + std::to_string(set_counts[p]));
-                const auto s = simd.waysCurve(p);
-                const auto o = scalar.waysCurve(p);
-                for (std::uint64_t w = 1; w <= ways + 3; ++w) {
-                    EXPECT_EQ(s.missesAt(w), o.missesAt(w))
-                        << "ways " << w;
-                    EXPECT_EQ(s.writebacksAt(w), o.writebacksAt(w))
-                        << "ways " << w;
-                }
-            }
-        };
 
         feed(at_bound);
         EXPECT_EQ(simd.compressedRows(), compressed)
             << "addresses up to kOrderedMaxAddr must stay compressed";
-        expectSameCurves();
+        expectSameWaysCurves(simd, scalar);
 
         simd.onAccess(Access{sentinel, AccessType::Read});
         scalar.onAccess(Access{sentinel, AccessType::Read});
         EXPECT_FALSE(simd.compressedRows())
             << "an access at kOrderedEmpty must demote the rows";
-        expectSameCurves();
+        expectSameWaysCurves(simd, scalar);
 
         feed(past);
         feed(at_bound);
         EXPECT_FALSE(simd.compressedRows());
-        expectSameCurves();
+        expectSameWaysCurves(simd, scalar);
     }
 }
 
@@ -1090,6 +1085,21 @@ TEST(ReuseCompactionBoundary, TriggerCrossedExactlyMatchesLruReplay)
                 {kAddr0 + rng.below(footprint - len + 1), len, type()});
         }
 
+        // The oracle: direct LRU replay of the whole stream.
+        std::vector<Access> trace = words;
+        for (const auto &a : expand(runs))
+            trace.push_back(a);
+        const std::vector<std::uint64_t> caps{
+            1, 64, footprint / 2, footprint - 1, footprint};
+        std::vector<MemoryStats> lru_stats;
+        for (const std::uint64_t cap : caps) {
+            LruCache lru(cap);
+            for (const auto &a : trace)
+                lru.access(a);
+            lru.flush();
+            lru_stats.push_back(lru.stats());
+        }
+
         for (const auto path :
              {AnalyzerPath::Scalar, AnalyzerPath::Simd}) {
             SCOPED_TRACE(std::string("path ") + analyzerPathName(path));
@@ -1115,18 +1125,12 @@ TEST(ReuseCompactionBoundary, TriggerCrossedExactlyMatchesLruReplay)
             ASSERT_EQ(rd.distinctWords(), footprint);
 
             const auto curve = rd.missCurve();
-            for (const std::uint64_t cap : std::vector<std::uint64_t>{
-                     1, 64, footprint / 2, footprint - 1, footprint}) {
-                LruCache lru(cap);
-                for (const auto &a : words)
-                    lru.access(a);
-                for (const auto &a : expand(runs))
-                    lru.access(a);
-                lru.flush();
-                EXPECT_EQ(curve.missesAt(cap), lru.stats().misses)
-                    << "capacity " << cap;
-                EXPECT_EQ(curve.writebacksAt(cap), lru.stats().writebacks)
-                    << "capacity " << cap;
+            for (std::size_t i = 0; i < caps.size(); ++i) {
+                EXPECT_EQ(curve.missesAt(caps[i]), lru_stats[i].misses)
+                    << "capacity " << caps[i];
+                EXPECT_EQ(curve.writebacksAt(caps[i]),
+                          lru_stats[i].writebacks)
+                    << "capacity " << caps[i];
             }
         }
     }
