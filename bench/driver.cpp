@@ -30,6 +30,14 @@ struct ShardFragmentWritten
     std::string path;
 };
 
+/** Report the batch's grid size on stderr, so scripts that split it
+ *  with --cells can size their ranges. */
+void
+printGridCells(const std::vector<SweepResult> &grid)
+{
+    std::fprintf(stderr, "grid cells: %zu\n", gridCellCount(grid));
+}
+
 void
 printUsage(const char *prog, const char *experiment,
            const BenchCaps &caps)
@@ -73,8 +81,11 @@ printUsage(const char *prog, const char *experiment,
             "  --cells LO-HI            run linearized grid cells "
             "[LO, HI)\n"
             "                           and stream a fragment (see\n"
-            "                           --shard-out)\n"
+            "                           --shard-out); every run\n"
+            "                           prints \"grid cells: N\" on\n"
+            "                           stderr\n"
             "  --shard-out PATH         fragment path for --cells\n"
+            "                           (needs --cells)\n"
             "  --merge F0,F1,...        reassemble fragments and "
             "print the\n"
             "                           report (byte-identical to an\n"
@@ -186,6 +197,7 @@ BenchContext::runJobs(const std::vector<SweepJob> &jobs) const
             engine_.run(jobs, [](std::size_t, std::size_t) {
                 return false;
             });
+        printGridCells(skeleton);
         mergeShardFragments(skeleton, opts_.merge_paths);
         return skeleton;
     }
@@ -199,6 +211,7 @@ BenchContext::runJobs(const std::vector<SweepJob> &jobs) const
             engine_.run(jobs, [](std::size_t, std::size_t) {
                 return false;
             });
+        printGridCells(skeleton);
         const std::size_t total = gridCellCount(skeleton);
         if (total == 0)
             return skeleton;
@@ -250,6 +263,7 @@ BenchContext::runJobs(const std::vector<SweepJob> &jobs) const
             engine_.run(jobs, [](std::size_t, std::size_t) {
                 return false;
             });
+        printGridCells(skeleton);
         KB_REQUIRE(range.hi <= gridCellCount(skeleton), "--cells ",
                    opts_.cells, " is outside the ",
                    gridCellCount(skeleton), "-cell grid");
@@ -282,7 +296,9 @@ BenchContext::runJobs(const std::vector<SweepJob> &jobs) const
         writer.finish();
         throw ShardFragmentWritten{path};
     }
-    return engine_.run(jobs);
+    auto results = engine_.run(jobs);
+    printGridCells(results);
+    return results;
 }
 
 std::vector<SweepResult>
@@ -511,6 +527,13 @@ runBench(int argc, char **argv, const char *experiment,
             std::fprintf(stderr,
                          "%s: --cells and --merge are mutually "
                          "exclusive\n",
+                         prog);
+            return 2;
+        }
+        if (!opts.shard_out.empty() && opts.cells.empty()) {
+            std::fprintf(stderr,
+                         "%s: --shard-out names the fragment of a "
+                         "--cells run; it needs --cells LO-HI\n",
                          prog);
             return 2;
         }

@@ -23,7 +23,9 @@
  * fragments and prints the report byte-identical to an unsharded
  * run. Cell numbering is deterministic (engine/shard.hpp), so a
  * sweep grid can be distributed across processes or hosts and merged
- * afterwards. `--jobs N` does the whole dance in one command: the
+ * afterwards; every runJobs() batch reports its size on stderr as
+ * `grid cells: N` to size those ranges, and --shard-out without
+ * --cells is refused (exit 2). `--jobs N` does the whole dance in one command: the
  * driver re-execs ITSELF as `--cells` workers under the
  * fault-tolerant work-queue coordinator (engine/orchestrator.hpp:
  * progress deadlines, capped-backoff retries, speculative
@@ -91,7 +93,8 @@ struct DriverOptions
     /// stream a fragment instead of the report (benches with
     /// BenchCaps::shard; also the orchestrator's worker-side flag).
     std::string cells;
-    /// --shard-out: fragment path (default cells_<lo>_<hi>.kbshard).
+    /// --shard-out: fragment path (default cells_<lo>_<hi>.kbshard);
+    /// only valid with --cells.
     std::string shard_out;
     /// --merge: fragment paths to reassemble into the full report
     /// (repeatable flag, commas allowed).

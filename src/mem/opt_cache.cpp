@@ -15,6 +15,7 @@
 
 #include "util/flat_map.hpp"
 #include "util/logging.hpp"
+#include "util/paged_map.hpp"
 
 namespace kb {
 
@@ -310,7 +311,7 @@ class SegmentedOptStack
 
     const std::vector<std::uint64_t> caps_;
     std::vector<Heap> heaps_;            ///< index = band - 1
-    FlatWordMap<std::uint32_t> ids_;     ///< addr -> dense word id
+    PagedWordMap<std::uint32_t> ids_;    ///< addr -> dense word id
     std::vector<Word> words_;            ///< dense word states
     std::vector<std::uint64_t> hist_;    ///< index = band found (1..k+1)
     std::vector<std::uint64_t> wb_hist_; ///< index = window band
@@ -505,17 +506,6 @@ OptNextUseRecorder::note(std::uint64_t addr)
     }
     *slot = pos_;
     ++pos_;
-}
-
-void
-OptNextUseRecorder::noteRun(std::uint64_t base, std::uint64_t words)
-{
-    constexpr std::uint64_t kLookahead = 8;
-    for (std::uint64_t i = 0; i < words; ++i) {
-        if (i + kLookahead < words)
-            last_seen_.prefetch(base + i + kLookahead);
-        note(base + i);
-    }
 }
 
 void
@@ -743,7 +733,7 @@ OptNextUseRecorder::finish(
 
     // The last-seen table served pass 1 only; release it before the
     // walk builds its own word table.
-    last_seen_ = FlatWordMap<std::uint64_t>{};
+    last_seen_ = PagedWordMap<std::uint64_t>{};
 
     SegmentedOptStack stack(capacities);
     OptChunkCursor cursor(*this, stack);

@@ -21,8 +21,11 @@
  *    deterministic and far cheaper than the walk — feeding the stack
  *    while chunks of the next-use array are materialized one at a
  *    time. Peak resident analyzer memory is bounded by the chunk
- *    array plus the spill budget (plus the word-footprint last-seen
- *    table), independent of trace length.
+ *    array plus the spill budget, independent of trace length. The
+ *    word tables come on top: pass 1's last-seen positions and pass
+ *    2's word ids are PagedWordMaps, 8 and 4 bytes per word in
+ *    64-word leaves over the touched address pages (a dense range
+ *    costs exactly that; an isolated word costs its whole leaf).
  */
 
 #pragma once
@@ -38,7 +41,7 @@
 #include "trace/access.hpp"
 #include "trace/sink.hpp"
 #include "util/binio.hpp"
-#include "util/flat_map.hpp"
+#include "util/paged_map.hpp"
 
 namespace kb {
 
@@ -223,7 +226,8 @@ class OptNextUseRecorder : public TraceSink
           AccessType type) override
     {
         (void)type; // next-use structure ignores read/write
-        noteRun(base, words);
+        for (std::uint64_t i = 0; i < words; ++i)
+            note(base + i);
     }
 
     /** Trace positions recorded so far. */
@@ -257,11 +261,6 @@ class OptNextUseRecorder : public TraceSink
     };
 
     void note(std::uint64_t addr);
-    /// note() over a contiguous run with the last-seen probes
-    /// prefetched ahead — run addresses are distinct, so the probes
-    /// are independent and the table walk pipelines (same lookahead
-    /// recipe as the reuse analyzers' map phase).
-    void noteRun(std::uint64_t base, std::uint64_t words);
     void spill();
     std::string bucketFile(std::size_t chunk) const;
     /// Materialize chunk @p chunk's next-use array (kNever where no
@@ -277,8 +276,8 @@ class OptNextUseRecorder : public TraceSink
                        std::vector<std::uint64_t> &next_use);
 
     OptStreamOptions opts_;
-    FlatWordMap<std::uint64_t> last_seen_; ///< addr -> last position
-    std::vector<Bucket> buckets_;          ///< index = chunk
+    PagedWordMap<std::uint64_t> last_seen_; ///< addr -> last position
+    std::vector<Bucket> buckets_;           ///< index = chunk
     std::uint64_t pos_ = 0;
     std::uint64_t pending_bytes_ = 0;
     std::uint64_t peak_pending_bytes_ = 0;

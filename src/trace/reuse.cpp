@@ -659,6 +659,9 @@ ReuseDistanceAnalyzer::ReuseDistanceAnalyzer()
 ReuseDistanceAnalyzer::ReuseDistanceAnalyzer(AnalyzerPath path)
     : path_(path), rank_(path)
 {
+    static_assert(PagedWordMap<std::uint32_t>::kAbsent == kColdId,
+                  "coldAppend's id guard must cover the word table's "
+                  "absent sentinel");
 }
 
 void
@@ -790,13 +793,10 @@ ReuseDistanceAnalyzer::onRun(std::uint64_t base, std::uint64_t words,
     // independent of the others — the table probes batch cleanly
     // ahead of all counting work, and cold bookkeeping (which needs
     // no rank query) completes here.
-    constexpr std::uint64_t kLookahead = 8;
     run_ids_.resize(static_cast<std::size_t>(words));
     std::uint32_t first_id = kColdId;
     bool affine = true;
     for (std::uint64_t i = 0; i < words; ++i) {
-        if (i + kLookahead < words)
-            words_.prefetch(base + i + kLookahead);
         const auto [slot, inserted] = words_.tryEmplace(base + i);
         std::uint32_t id;
         if (inserted) {

@@ -33,11 +33,13 @@
  * by 4x (rank queries only read the marks' relative order), so the
  * rank arrays stay O(footprint) and cache resident no matter how
  * long the trace runs. Two fast-path refinements ride on
- * top: the word table is an open-addressing FlatWordMap mapping
- * addresses to dense ids over SoA state arrays (no growth-invalidated
- * pointers), and onRun() splits each contiguous run into a map-only
- * phase followed by a counting phase, so cold streaks mark the bitmap
- * in bulk and warm accesses batch their rank work.
+ * top: the word table is a PagedWordMap mapping addresses to dense
+ * ids over SoA state arrays (no growth-invalidated pointers; its
+ * 64-word leaves keep a sequential run's lookups on one or two cache
+ * lines, where a hash table would scatter them over DRAM), and
+ * onRun() splits each contiguous run into a map-only phase followed
+ * by a counting phase, so cold streaks mark the bitmap in bulk and
+ * warm accesses batch their rank work.
  */
 
 #pragma once
@@ -53,6 +55,7 @@
 #include "trace/sink.hpp"
 #include "util/binio.hpp"
 #include "util/flat_map.hpp"
+#include "util/paged_map.hpp"
 
 namespace kb {
 
@@ -801,7 +804,11 @@ class ReuseDistanceAnalyzer : public TraceSink
     /// the compact clock domain [0, pos_)); rank queries over it
     /// answer "distinct words since prev".
     MarkRank rank_;
-    FlatWordMap<std::uint32_t> words_; ///< addr -> dense word id
+    /// addr -> dense word id, in 64-word leaves: the built-in
+    /// kernels touch dense address ranges, so consecutive lookups
+    /// land on the same leaf. Insert-only, like the ids themselves;
+    /// its absent sentinel equals kColdId, which no id reaches.
+    PagedWordMap<std::uint32_t> words_;
     /// Simd-path run-block index: run base -> (id of the base's word
     /// << 32) | contiguous id count. A pure memoization of words_ —
     /// entries never go stale because ids are append-only and
@@ -809,7 +816,7 @@ class ReuseDistanceAnalyzer : public TraceSink
     /// for one probe here. words_ stays authoritative for every word.
     FlatWordMap<std::uint64_t> blocks_;
     /// Dense per-word state, parallel arrays indexed by word id (ids
-    /// are stable across FlatWordMap growth where value pointers are
+    /// are stable across word-table growth where value pointers are
     /// not, which is what lets onRun batch its map phase).
     std::vector<std::uint64_t> last_use_;
     /// Max reuse distance among the word's accesses since its last

@@ -2,9 +2,12 @@
  * @file
  * Open-addressing hash map for word addresses.
  *
- * The trace-replay hot paths (LRU residency lookup, reuse-distance
- * last-use tracking) key everything by a 64-bit word address and pay
- * one lookup per trace access. std::unordered_map spends that budget
+ * The replay models' residency lookups (LruCache, SetAssocCache),
+ * the reuse analyzer's run-block index, buffered OPT's last-seen
+ * table and PagedWordMap's page directory key everything by a 64-bit
+ * word address and pay one lookup per access. (Insert-only word
+ * tables over dense address ranges use PagedWordMap instead; see
+ * util/paged_map.hpp.) std::unordered_map spends that budget
  * on node allocation and pointer chasing; FlatWordMap keeps the table
  * in two flat arrays (slots + occupancy bytes) with linear probing,
  * so a lookup touches one or two cache lines and insertion never
@@ -35,6 +38,13 @@ class FlatWordMap
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
+
+    /** Bytes held by the slot and occupancy arrays. */
+    std::size_t
+    bytes() const
+    {
+        return slots_.capacity() * sizeof(Slot) + used_.capacity();
+    }
 
     /** Value stored under @p key, or nullptr. */
     Value *
@@ -85,23 +95,6 @@ class FlatWordMap
     insert(std::uint64_t key, Value value)
     {
         *tryEmplace(key).first = std::move(value);
-    }
-
-    /**
-     * Pull @p key's home slot toward the cache ahead of a find or
-     * tryEmplace. The hash intentionally scatters sequential
-     * addresses, so a batch of lookups (an onRun phase) is a series
-     * of dependent random loads unless the caller prefetches a few
-     * keys ahead.
-     */
-    void
-    prefetch(std::uint64_t key) const
-    {
-        if (mask_ == 0)
-            return;
-        const std::size_t i = indexOf(key);
-        __builtin_prefetch(used_.data() + i);
-        __builtin_prefetch(slots_.data() + i);
     }
 
     /** Remove @p key; false if absent. */

@@ -24,6 +24,12 @@
  * land on every possible chunk-boundary phase. A fully-assoc
  * scalar-vs-SIMD differential covers the run-block index and the
  * block-scan rankInc against the original per-word loops.
+ *
+ * The paged word tables (util/paged_map.hpp) get a sparse-address
+ * differential of their own: runs on pages strided by a leaf or more,
+ * some wrapping past 2^64, through both reuse-analyzer paths against
+ * LruCache replay and through streaming OPT against buffered and
+ * per-point OPT.
  */
 
 #include <algorithm>
@@ -1030,6 +1036,131 @@ TEST(FullyAssocSimdDiff, RunBlockIndexMatchesScalar)
                 << "capacity " << m;
         }
     }
+}
+
+/**
+ * Seeded sparse run mix for the paged word tables: run bases sit on
+ * pages strided by at least one 64-word leaf, half of them just below
+ * 2^64 so runs wrap past it, and run lengths up to 80 words cross
+ * leaf boundaries. Most leaves end up partly filled.
+ */
+std::vector<Run>
+sparseStream(std::uint64_t seed)
+{
+    const std::uint64_t top = std::numeric_limits<std::uint64_t>::max();
+    std::vector<std::uint64_t> bases;
+    for (const std::uint64_t stride :
+         {64ull, 65ull, 4096ull + 7, 1ull << 40}) {
+        for (std::uint64_t j = 0; j < 6; ++j) {
+            bases.push_back(top - 40 - j * stride);
+            bases.push_back(j * stride + 3);
+        }
+    }
+    Xoshiro256 rng(seed);
+    std::vector<Run> runs;
+    for (int i = 0; i < 400; ++i) {
+        runs.push_back({bases[rng.below(bases.size())] + rng.below(48),
+                        1 + rng.below(80),
+                        rng.below(3) == 0 ? AccessType::Write
+                                          : AccessType::Read});
+    }
+    return runs;
+}
+
+/**
+ * Sparse and wrapping addresses through the paged word tables: the
+ * reuse analyzer on both paths against direct LruCache replay, and
+ * streaming OPT against buffered OPT, whose curve in turn matches
+ * per-point simulateOpt.
+ */
+TEST(PagedWordTableDiff, SparseWrappingAddressesMatchOracles)
+{
+    for (std::uint64_t s = 0; s < 4; ++s) {
+        const std::uint64_t seed = seedBase() + 111 + s;
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const auto runs = sparseStream(seed);
+        const auto trace = expand(runs);
+
+        const std::uint64_t footprint = [&] {
+            std::vector<std::uint64_t> addrs;
+            for (const auto &a : trace)
+                addrs.push_back(a.addr);
+            std::sort(addrs.begin(), addrs.end());
+            return static_cast<std::uint64_t>(
+                std::unique(addrs.begin(), addrs.end()) - addrs.begin());
+        }();
+        const std::vector<std::uint64_t> caps{1, 7, 64, footprint / 2,
+                                              footprint};
+        for (const auto path :
+             {AnalyzerPath::Scalar, AnalyzerPath::Simd}) {
+            SCOPED_TRACE(std::string("path ") + analyzerPathName(path));
+            ReuseDistanceAnalyzer rd(path);
+            for (const auto &r : runs)
+                rd.onRun(r.base, r.words, r.type);
+            EXPECT_EQ(rd.distinctWords(), footprint);
+            const auto curve = rd.missCurve();
+            for (const std::uint64_t cap : caps) {
+                LruCache lru(cap);
+                for (const auto &a : trace)
+                    lru.access(a);
+                lru.flush();
+                EXPECT_EQ(curve.missesAt(cap), lru.stats().misses)
+                    << "capacity " << cap;
+                EXPECT_EQ(curve.writebacksAt(cap),
+                          lru.stats().writebacks)
+                    << "capacity " << cap;
+            }
+        }
+
+        OptStreamOptions options;
+        options.chunk_positions = 512;
+        options.spill_threshold_bytes = 1 << 12;
+        expectOptStreamingMatchesBuffered(trace, caps, options);
+        const auto buffered = simulateOptCurve(trace, caps);
+        for (const std::uint64_t cap : {caps[1], caps[3]}) {
+            const auto point = simulateOpt(trace, cap, true);
+            EXPECT_EQ(buffered.missesAt(cap), point.stats.misses)
+                << "capacity " << cap;
+            EXPECT_EQ(buffered.writebacksAt(cap),
+                      point.stats.writebacks)
+                << "capacity " << cap;
+        }
+    }
+}
+
+/**
+ * The OPT recorder's spill threshold at its boundary: pending record
+ * bytes that reach exactly spill_threshold_bytes stay in memory, and
+ * one record more spills every bucket. Both curves equal buffered OPT.
+ */
+TEST(StreamingOptDiff, SpillThresholdBoundary)
+{
+    constexpr std::uint64_t kRecord = 12;
+    constexpr std::uint64_t kRecords = 40;
+    // A cyclic sweep over 10 words: every access after the first lap
+    // records one (position -> next use) pair.
+    const auto cyclic = [](std::uint64_t warm) {
+        std::vector<Access> trace;
+        for (std::uint64_t i = 0; i < 10 + warm; ++i)
+            trace.push_back(i % 4 == 0 ? writeOf(i % 10)
+                                       : readOf(i % 10));
+        return trace;
+    };
+    OptStreamOptions options;
+    options.chunk_positions = 16;
+    options.spill_threshold_bytes = kRecords * kRecord;
+
+    OptStreamStats at, past;
+    expectOptStreamingMatchesBuffered(cyclic(kRecords), {1, 3, 9, 10},
+                                      options, &at);
+    EXPECT_EQ(at.peak_pending_bytes, options.spill_threshold_bytes);
+    EXPECT_EQ(at.spilled_bytes, 0u) << "spilled at the threshold";
+
+    expectOptStreamingMatchesBuffered(cyclic(kRecords + 1),
+                                      {1, 3, 9, 10}, options, &past);
+    EXPECT_EQ(past.peak_pending_bytes,
+              options.spill_threshold_bytes + kRecord);
+    EXPECT_GT(past.spilled_bytes, 0u) << "did not spill past it";
 }
 
 /**
